@@ -166,3 +166,30 @@ class TestFailureModes:
         rc = main(["--config", "/no/such/file.cfg"])
         assert rc != 0
         assert "cannot read config file" in capsys.readouterr().err
+
+
+# sha256 of the CSV each run writes. These pin the output bytes of the
+# current RNG contract; they change only with a deliberate contract change.
+_GOLDEN = {
+    "sweep": (["--mode", "sweep", "--trials", "200", "--seed", "1"],
+              "d183f08992eaeb904a92ba38399ed6e295d43dec34b1b89ea68c9f88dc55dad3"),
+    "cdf": (["--mode", "cdf", "--trials", "500", "--seed", "1"],
+            "b068972c7722a55566a7f4bf1da300a53fa6912ae232f32dc9b10eaae30dcb18"),
+    "config": (["--mode", "cdf", "--distance", "40", "--blocked-direct",
+                "--trials", "300", "--seed", "2"],
+               "3f3bfd41a5976e5e6ebe5a84d7b087a3a37f079f3fbe47ad162cb2e3a875c801"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_digest(tmp_path, case, workers):
+    argv, digest = _GOLDEN[case]
+    if case == "config":
+        argv = argv + ["--config", _write(
+            tmp_path, "interferer_min = 0\ninterferer_max = 6\n"
+                      "tx_power_dbm = 3\n"
+                      "path_loss_coeff_db_per_decade = 30\n")]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
