@@ -11,18 +11,28 @@ Configuration comes from defaults, overridden by an optional
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .montecarlo import SweepSpec, run_cdf, run_sweep
 from .scenario import ScenarioConfig
 from .strategies import ALL_STRATEGIES, StrategyKind
 
+_MODES = ("sweep", "cdf")
+_SCENARIO = ScenarioConfig()
+
 
 class CliError(Exception):
     """Validation or I/O failure reported as a single-line diagnostic."""
+
+
+def _parse_mode(text: str) -> str:
+    if text not in _MODES:
+        raise ValueError(f"{text!r} is not one of {', '.join(_MODES)}")
+    return text
 
 
 def _parse_bool(text: str) -> bool:
@@ -38,6 +48,8 @@ def _parse_strategies(text: str) -> tuple[StrategyKind, ...]:
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
         raise ValueError("empty strategy list")
+    if len(set(names)) < len(names):
+        raise ValueError(f"duplicate strategy in {text!r}")
     try:
         return tuple(StrategyKind(name) for name in names)
     except ValueError:
@@ -46,39 +58,68 @@ def _parse_strategies(text: str) -> tuple[StrategyKind, ...]:
             from None
 
 
+def _setting(default, parse, flag=None, help=None):
+    """A setting: its default, the parser for its file and flag text, and
+    its command-line flag if it has one."""
+    return field(default=default,
+                 metadata={"parse": parse, "flag": flag, "help": help})
+
+
 @dataclass(frozen=True)
 class Settings:
-    """Fully resolved run settings (scenario + experiment + output)."""
+    """Fully resolved run settings (scenario + experiment + output).
 
-    mode: str = "sweep"
-    distance_m: float = 70.0
-    lmin: float = 10.0
-    lmax: float = 100.0
-    lstep: float = 10.0
-    trials: int = 10_000
-    seed: int = 0
-    blocked_direct: bool = False
-    strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
-    tx_power_dbm: float = 0.0
-    interferer_power_dbm: float = 3.0
-    antenna_gain_db: float = 2.5
-    noise_power_dbm: float = -110.0
-    bandwidth_hz: float = 2e6
-    path_loss_coeff_db_per_decade: float = 28.0
-    interferer_min: int = 1
-    interferer_max: int = 3
-    workers: int = 1
-    out: str = ""
+    The only declaration of each setting: config-file keys, flags and
+    `--dump-config` are derived from these fields, in this order. Parsers
+    reject text that names no value; `__post_init__` checks the values.
+    """
 
-    def scenario_config(self, distance_m: float | None = None,
-                        ) -> ScenarioConfig:
+    mode: str = _setting("sweep", _parse_mode, "--mode", "sweep or cdf")
+    distance_m: float = _setting(
+        _SCENARIO.distance_m, float, "--distance",
+        "end-to-end distance in meters (cdf mode only)")
+    lmin: float = _setting(10.0, float, "--lmin")
+    lmax: float = _setting(100.0, float, "--lmax")
+    lstep: float = _setting(10.0, float, "--lstep")
+    trials: int = _setting(10_000, int, "--trials")
+    seed: int = _setting(_SCENARIO.master_seed, int, "--seed")
+    blocked_direct: bool = _setting(
+        _SCENARIO.direct_blocked, _parse_bool, "--blocked-direct")
+    strategies: tuple[StrategyKind, ...] = _setting(
+        ALL_STRATEGIES, _parse_strategies, "--strategies",
+        "comma-separated strategy names")
+    tx_power_dbm: float = _setting(_SCENARIO.tx_power_dbm, float)
+    interferer_power_dbm: float = _setting(
+        _SCENARIO.interferer_power_dbm, float)
+    antenna_gain_db: float = _setting(_SCENARIO.antenna_gain_db, float)
+    noise_power_dbm: float = _setting(_SCENARIO.noise_power_dbm, float)
+    path_loss_coeff_db_per_decade: float = _setting(
+        _SCENARIO.path_loss_coeff_db_per_decade, float)
+    interferer_min: int = _setting(_SCENARIO.interferer_count_range[0], int)
+    interferer_max: int = _setting(_SCENARIO.interferer_count_range[1], int)
+    workers: int = _setting(1, int, "--workers")
+    out: str = _setting("", str, "--out", "output CSV path")
+
+    def __post_init__(self):
+        for name in ("trials", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("lmin", "lmax"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.lstep > 0:
+            raise ValueError("lstep must be positive")
+        if self.lmin > self.lmax:
+            raise ValueError("lmin must not exceed lmax")
+        self.scenario_config()  # surfaces scenario invariant violations
+
+    def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(
-            distance_m=self.distance_m if distance_m is None else distance_m,
+            distance_m=self.distance_m,
             tx_power_dbm=self.tx_power_dbm,
             interferer_power_dbm=self.interferer_power_dbm,
             antenna_gain_db=self.antenna_gain_db,
             noise_power_dbm=self.noise_power_dbm,
-            bandwidth_hz=self.bandwidth_hz,
             path_loss_coeff_db_per_decade=self.path_loss_coeff_db_per_decade,
             direct_blocked=self.blocked_direct,
             interferer_count_range=(self.interferer_min, self.interferer_max),
@@ -86,41 +127,22 @@ class Settings:
         )
 
     def sweep_distances(self) -> tuple[float, ...]:
-        if self.lstep <= 0:
-            raise CliError("lstep must be positive")
-        if self.lmin > self.lmax:
-            raise CliError("lmin must not exceed lmax")
-        out = []
-        d = self.lmin
-        while d <= self.lmax + 1e-9:
-            out.append(round(d, 9))
-            d += self.lstep
-        return tuple(out)
+        """lmin, lmin + lstep, ... up to lmax (1e-9 m slack); each point is
+        computed from lmin, so rounding does not accumulate."""
+        count = math.floor((self.lmax - self.lmin + 1e-9) / self.lstep) + 1
+        return tuple(round(self.lmin + k * self.lstep, 9)
+                     for k in range(count))
 
 
-# key -> parser for the `key = value` config file grammar; every key also
-# has the same meaning in --dump-config output.
-_FILE_KEYS = {
-    "mode": str,
-    "distance_m": float,
-    "lmin": float,
-    "lmax": float,
-    "lstep": float,
-    "trials": int,
-    "seed": int,
-    "blocked_direct": _parse_bool,
-    "strategies": _parse_strategies,
-    "tx_power_dbm": float,
-    "interferer_power_dbm": float,
-    "antenna_gain_db": float,
-    "noise_power_dbm": float,
-    "bandwidth_hz": float,
-    "path_loss_coeff_db_per_decade": float,
-    "interferer_min": int,
-    "interferer_max": int,
-    "workers": int,
-    "out": str,
-}
+# Config-file key -> parser, derived from the settings table.
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(Settings)}
+
+
+def _parse(key: str, text: str, where: str = ""):
+    try:
+        return _PARSERS[key](text)
+    except ValueError as exc:
+        raise CliError(f"{where}bad value for {key}: {exc}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -139,20 +161,16 @@ def parse_config_file(path: str) -> dict:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FILE_KEYS:
+        if key not in _PARSERS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _FILE_KEYS[key](value.strip())
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}") \
-                from None
+        values[key] = _parse(key, value.strip(), f"{path}:{lineno}: ")
     return values
 
 
 def dump_config(settings: Settings) -> str:
     """Render settings in the config-file grammar; re-parses to equality."""
     lines = []
-    for key in _FILE_KEYS:
+    for key in _PARSERS:
         value = getattr(settings, key)
         if key == "strategies":
             value = ",".join(k.value for k in value)
@@ -169,21 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="relaysim",
         description="Monte Carlo simulator for cooperative relaying "
                     "strategies in a smart-grid NAN.")
-    p.add_argument("--mode", choices=("sweep", "cdf"))
-    p.add_argument("--distance", type=float, dest="distance_m",
-                   help="end-to-end distance in meters (cdf mode)")
-    p.add_argument("--lmin", type=float)
-    p.add_argument("--lmax", type=float)
-    p.add_argument("--lstep", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--blocked-direct", action="store_true", default=None,
-                   dest="blocked_direct")
-    p.add_argument("--strategies", type=str,
-                   help="comma-separated strategy names")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--config", type=str, help="key = value config file")
-    p.add_argument("--out", type=str, help="output CSV path")
+    for f in fields(Settings):
+        if f.metadata["flag"]:
+            # A switch stores "true", which still goes through the parser.
+            switch = ({"action": "store_const", "const": "true"}
+                      if f.metadata["parse"] is _parse_bool else {})
+            p.add_argument(f.metadata["flag"], dest=f.name,
+                           help=f.metadata["help"], **switch)
+    p.add_argument("--config", help="key = value config file")
     p.add_argument("--dump-config", action="store_true")
     return p
 
@@ -191,29 +202,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def resolve_settings(argv: list[str]) -> tuple[Settings, bool]:
     """Merge defaults <- config file <- flags into validated Settings."""
     args = _build_parser().parse_args(argv)
-    merged: dict = {}
-    if args.config:
-        merged.update(parse_config_file(args.config))
-    for key in _FILE_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    valid = {f.name for f in fields(Settings)}
+    merged = parse_config_file(args.config) if args.config else {}
+    for key in _PARSERS:
+        text = getattr(args, key, None)
+        if text is not None:
+            merged[key] = _parse(key, text)
     try:
-        if isinstance(merged.get("strategies"), str):
-            merged["strategies"] = _parse_strategies(merged["strategies"])
-        settings = Settings(**{k: v for k, v in merged.items()
-                               if k in valid})
-        settings.scenario_config()  # surfaces scenario invariant violations
+        settings = Settings(**merged)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    if settings.trials < 1:
-        raise CliError("trials must be >= 1")
-    if settings.workers < 1:
-        raise CliError("workers must be >= 1")
-    if settings.mode == "sweep":
-        settings.sweep_distances()
-    return settings, bool(args.dump_config)
+    if args.distance_m is not None and settings.mode == "sweep":
+        raise CliError("--distance applies to cdf mode only")
+    return settings, args.dump_config
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -274,12 +274,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(dump_config(settings))
             return 0
         out = settings.out or f"{settings.mode}.csv"
-        settings = replace(settings, out=out)
         _atomic_write(out, run(settings))
-    except CliError as exc:
-        print(f"relaysim: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"relaysim: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {out}")

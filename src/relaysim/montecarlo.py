@@ -9,6 +9,7 @@ reassembled in order before any aggregation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -120,11 +121,12 @@ def run_point(config: ScenarioConfig, trials: int,
     """Per-trial spectral efficiencies at one distance, in trial order.
 
     The result is independent of the worker count: chunks are reassembled
-    by trial index before returning.
+    by trial index before returning. At most os.cpu_count() processes run.
     """
     kinds = tuple(strategies)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or trials < 2 * workers:
         table = _run_range(config, 0, trials, kinds)
     else:

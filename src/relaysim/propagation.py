@@ -29,16 +29,6 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError("linear ratio must be positive")
-    return 10.0 * math.log10(x)
-
-
 def path_loss_db(freq_mhz: float, distance_m: float,
                  coeff_db_per_decade: float = 28.0) -> float:
     """ITU indoor path loss in dB, zero floor-penetration term.
@@ -100,9 +90,6 @@ class LinkSet:
 
     def __init__(self, entries: dict[tuple[str, str], LinkPower]):
         self.entries = entries
-
-    def power(self, tx: str, rx: str) -> LinkPower:
-        return self.entries[(tx, rx)]
 
     def sinr(self, tx: str, rx: str) -> float:
         return self.entries[(tx, rx)].sinr

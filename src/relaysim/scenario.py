@@ -89,10 +89,10 @@ class ScenarioConfig:
     """All physical-layer and geometric parameters of one experiment.
 
     Defaults follow the smart-grid NAN setting: ZigBee channels at 2.4 GHz,
-    2 MHz bandwidth, 0 dBm transmit power, 2.5 dB antenna gain per antenna,
-    -110 dBm noise, ITU indoor path loss at 28 dB/decade, and 1 to 3
-    interferers at 3 dBm. interferer_power_dbm may be -inf to disable
-    interference entirely.
+    0 dBm transmit power, 2.5 dB antenna gain per antenna, -110 dBm noise
+    (absolute, so no bandwidth enters), ITU indoor path loss at
+    28 dB/decade, and 1 to 3 interferers at 3 dBm. interferer_power_dbm
+    may be -inf to disable interference entirely.
     """
 
     distance_m: float = 70.0
@@ -100,7 +100,6 @@ class ScenarioConfig:
     interferer_power_dbm: float = 3.0
     antenna_gain_db: float = 2.5
     noise_power_dbm: float = -110.0
-    bandwidth_hz: float = 2e6
     path_loss_coeff_db_per_decade: float = 28.0
     direct_blocked: bool = False
     interferer_count_range: tuple[int, int] = (1, 3)
@@ -109,8 +108,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (math.isfinite(self.distance_m) and self.distance_m > 0):
             raise ValueError("distance_m must be positive and finite")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise ValueError("bandwidth_hz must be positive and finite")
         lo, hi = self.interferer_count_range
         if lo < 0 or lo > hi:
             raise ValueError(

@@ -29,14 +29,6 @@ class StrategyKind(Enum):
     UNI_DF_EXCHANGE = "uni_df_exchange"
 
     @property
-    def relays_needed(self) -> int:
-        if self in (StrategyKind.AF_BEAMFORM2, StrategyKind.DF_BEAMFORM2):
-            return 2
-        if self in (StrategyKind.DIRECT, StrategyKind.DIRECT_EXCHANGE):
-            return 0
-        return 1
-
-    @property
     def is_exchange(self) -> bool:
         return self in (StrategyKind.TWOWAY_AF, StrategyKind.TWOWAY_DF,
                         StrategyKind.DIRECT_EXCHANGE,

@@ -5,6 +5,7 @@ import pytest
 
 from relaysim.cli import (
     CliError,
+    Settings,
     dump_config,
     main,
     parse_config_file,
@@ -70,6 +71,46 @@ class TestConfigFile:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(CliError, match="unknown strategy"):
             resolve_settings(["--strategies", "direct,warp_drive"])
+
+
+class TestValidation:
+    """File and flag values are checked alike, each with one diagnostic."""
+
+    def test_bad_mode_in_file_reports_line(self, tmp_path):
+        path = _write(tmp_path, "trials = 5\nmode = foo\n")
+        with pytest.raises(CliError, match=r":2: bad value for mode"):
+            resolve_settings(["--config", path])
+
+    def test_duplicate_strategy_rejected(self):
+        with pytest.raises(CliError, match="duplicate strategy"):
+            resolve_settings(["--strategies", "direct,direct"])
+
+    def test_distance_flag_rejected_in_sweep_mode(self, tmp_path):
+        with pytest.raises(CliError, match="--distance"):
+            resolve_settings(["--mode", "sweep", "--distance", "40"])
+        path = _write(tmp_path, "distance_m = 40\n")
+        settings, _ = resolve_settings(["--config", path, "--mode", "sweep"])
+        assert settings.distance_m == 40.0
+
+    @pytest.mark.parametrize("flag,value", [("--lmin", "nan"),
+                                            ("--lmax", "inf")])
+    def test_nonfinite_grid_bound_named(self, flag, value):
+        with pytest.raises(CliError, match=f"{flag[2:]} must be finite"):
+            resolve_settings([flag, value])
+
+    def test_bad_flag_value_names_setting(self):
+        with pytest.raises(CliError, match="bad value for trials"):
+            resolve_settings(["--trials", "abc"])
+
+    def test_bandwidth_key_removed(self, tmp_path):
+        path = _write(tmp_path, "bandwidth_hz = 2e6\n")
+        with pytest.raises(CliError, match="unknown key 'bandwidth_hz'"):
+            parse_config_file(path)
+
+    def test_sweep_grid_does_not_accumulate(self):
+        grid = Settings(lmin=0.1, lstep=3.3, lmax=16500.1).sweep_distances()
+        assert len(grid) == 5001
+        assert grid[-1] == 16500.1
 
 
 class TestDumpConfig:

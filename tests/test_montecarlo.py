@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from relaysim import montecarlo
 from relaysim.montecarlo import (
     EmpiricalCdf,
     SummaryStats,
@@ -155,6 +156,31 @@ class TestRunPoint:
         parallel = run_point(cfg, 40, kinds, workers=3)
         for kind in kinds:
             np.testing.assert_array_equal(serial[kind], parallel[kind])
+
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        cfg = ScenarioConfig(distance_m=60.0, master_seed=23)
+        kinds = (StrategyKind.DIRECT,)
+        pooled = run_point(cfg, 12, kinds, workers=1000)
+        assert sizes == [3]
+        np.testing.assert_array_equal(pooled[kinds[0]],
+                                      run_point(cfg, 12, kinds)[kinds[0]])
 
 
 class TestRunSweep:

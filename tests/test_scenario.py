@@ -38,7 +38,6 @@ class TestConfigValidation:
         assert cfg.interferer_power_dbm == 3.0
         assert cfg.antenna_gain_db == 2.5
         assert cfg.noise_power_dbm == -110.0
-        assert cfg.bandwidth_hz == 2e6
         assert cfg.path_loss_coeff_db_per_decade == 28.0
         assert cfg.interferer_count_range == (1, 3)
 
