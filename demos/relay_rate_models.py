@@ -53,8 +53,8 @@ def main():
           f"{'4-slot af':>10}")
     for db in SNRS_DB:
         g = lin(db)
-        twaf = rate_twoway_af(g, g).spectral_efficiency
-        twdf = rate_twoway_df(g, g).spectral_efficiency
+        twaf = sum(rate_twoway_af(g, g))
+        twdf = sum(rate_twoway_df(g, g))
         # 4-slot unidirectional AF exchange, no direct link
         uni = 2 * 0.25 * math.log2(1 + af_equivalent_snr(g, g))
         print(f"{db:7d} {twaf:10.3f} {twdf:10.3f} {uni:10.3f}")

@@ -9,40 +9,32 @@ from .montecarlo import (
     run_cdf,
     run_point,
     run_sweep,
-    run_trial,
 )
 from .propagation import (
-    LinkBudget,
-    LinkPower,
-    LinkSet,
-    build_link_set,
     draw_fading,
-    link_sinr,
+    link_sinrs,
     path_loss_db,
 )
 from .scenario import (
-    Interferer,
-    Position,
     ScenarioConfig,
-    ScenarioSample,
+    TrialBlock,
     channel_frequency,
-    sample_positions,
+    draw_block,
     trial_stream,
 )
 from .strategies import (
     ALL_STRATEGIES,
-    RateResult,
     StrategyKind,
     af_equivalent_snr,
-    evaluate_strategy,
     rate_af_beamform2,
     rate_af_single,
     rate_df_beamform2,
     rate_df_single,
     rate_direct,
-    rate_exchange_baseline,
+    rate_exchange,
     rate_twoway_af,
     rate_twoway_df,
+    strategy_rates,
     twoway_af_snrs,
 )
 
@@ -51,23 +43,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_STRATEGIES",
     "EmpiricalCdf",
-    "Interferer",
-    "LinkBudget",
-    "LinkPower",
-    "LinkSet",
-    "Position",
-    "RateResult",
     "ScenarioConfig",
-    "ScenarioSample",
     "StrategyKind",
     "SummaryStats",
     "SweepSpec",
+    "TrialBlock",
     "af_equivalent_snr",
-    "build_link_set",
     "channel_frequency",
+    "draw_block",
     "draw_fading",
-    "evaluate_strategy",
-    "link_sinr",
+    "link_sinrs",
     "path_loss_db",
     "percentile",
     "rate_af_beamform2",
@@ -75,14 +60,13 @@ __all__ = [
     "rate_df_beamform2",
     "rate_df_single",
     "rate_direct",
-    "rate_exchange_baseline",
+    "rate_exchange",
     "rate_twoway_af",
     "rate_twoway_df",
     "run_cdf",
     "run_point",
     "run_sweep",
-    "run_trial",
-    "sample_positions",
+    "strategy_rates",
     "trial_stream",
     "twoway_af_snrs",
 ]

@@ -23,6 +23,9 @@ from .strategies import ALL_STRATEGIES, StrategyKind
 
 _MODES = ("sweep", "cdf")
 _SCENARIO = ScenarioConfig()
+# Largest sweep grid accepted, so that a mistyped lstep fails at once
+# instead of building a huge grid.
+MAX_SWEEP_POINTS = 100_000
 
 
 class CliError(Exception):
@@ -111,6 +114,9 @@ class Settings:
             raise ValueError("lstep must be positive")
         if self.lmin > self.lmax:
             raise ValueError("lmin must not exceed lmax")
+        if not self._sweep_steps() < MAX_SWEEP_POINTS:
+            raise ValueError(f"lstep {self.lstep!r} makes more than "
+                             f"{MAX_SWEEP_POINTS} sweep points")
         self.scenario_config()  # surfaces scenario invariant violations
 
     def scenario_config(self) -> ScenarioConfig:
@@ -126,12 +132,16 @@ class Settings:
             master_seed=self.seed,
         )
 
+    def _sweep_steps(self) -> float:
+        """Steps of lstep from lmin to lmax (1e-9 m slack); inf when lstep
+        is too small for the quotient to be finite."""
+        return (self.lmax - self.lmin + 1e-9) / self.lstep
+
     def sweep_distances(self) -> tuple[float, ...]:
-        """lmin, lmin + lstep, ... up to lmax (1e-9 m slack); each point is
-        computed from lmin, so rounding does not accumulate."""
-        count = math.floor((self.lmax - self.lmin + 1e-9) / self.lstep) + 1
+        """lmin, lmin + lstep, ... up to lmax; each point is computed from
+        lmin, so rounding does not accumulate."""
         return tuple(round(self.lmin + k * self.lstep, 9)
-                     for k in range(count))
+                     for k in range(math.floor(self._sweep_steps()) + 1))
 
 
 # Config-file key -> parser, derived from the settings table.

@@ -12,13 +12,19 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .propagation import build_link_set
-from .scenario import ScenarioConfig, ScenarioSample, sample_positions
-from .strategies import ALL_STRATEGIES, StrategyKind, evaluate_strategy
+from .propagation import link_sinrs
+from .scenario import ScenarioConfig, draw_block
+from .strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
+
+# Trials drawn and evaluated together. Larger blocks spread numpy's
+# per-call cost over more trials but hold more temporaries at once; of
+# the sizes 16 to 1024, 64 gave the lowest peak RSS of a run in
+# bench/memory_probe.py at the benchmark's sizes.
+BLOCK_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -45,14 +51,17 @@ class SweepSpec:
 @dataclass(frozen=True)
 class EmpiricalCdf:
     sorted_samples: np.ndarray
-    n: int
 
     @classmethod
-    def from_samples(cls, samples: Iterable[float]) -> "EmpiricalCdf":
-        arr = np.sort(np.asarray(list(samples), dtype=float))
+    def from_samples(cls, samples: Sequence[float]) -> "EmpiricalCdf":
+        arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise ValueError("cannot build a CDF from zero samples")
-        return cls(arr, int(arr.size))
+        return cls(arr)
+
+    @property
+    def n(self) -> int:
+        return self.sorted_samples.size
 
     def cdf_at(self, x: float) -> float:
         """F(x) = (#samples <= x) / n, right-continuous."""
@@ -88,30 +97,16 @@ class SummaryStats:
                    percentile(cdf, 90))
 
 
-def evaluate_sample(sample: ScenarioSample, config: ScenarioConfig,
-                    strategies: Sequence[StrategyKind],
-                    ) -> dict[StrategyKind, float]:
-    """Evaluate every requested strategy on one channel realization."""
-    links = build_link_set(sample, config)
-    return {kind: evaluate_strategy(kind, links).spectral_efficiency
-            for kind in strategies}
-
-
-def run_trial(config: ScenarioConfig, trial_index: int,
-              strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
-              ) -> dict[StrategyKind, float]:
-    """One Monte Carlo trial: all strategies share the same draw."""
-    sample = sample_positions(config, trial_index)
-    return evaluate_sample(sample, config, strategies)
-
-
 def _run_range(config: ScenarioConfig, start: int, stop: int,
                strategies: tuple[StrategyKind, ...]) -> np.ndarray:
-    """Trials [start, stop) as a (stop-start, n_strategies) array."""
+    """Trials [start, stop) as a (stop-start, n_strategies) array; all
+    strategies of a trial share its draw."""
     out = np.empty((stop - start, len(strategies)))
-    for i in range(start, stop):
-        rates = run_trial(config, i, strategies)
-        out[i - start] = [rates[kind] for kind in strategies]
+    for first in range(start, stop, BLOCK_TRIALS):
+        last = min(first + BLOCK_TRIALS, stop)
+        block = draw_block(config, first, last)
+        out[first - start:last - start] = strategy_rates(
+            link_sinrs(block, config), strategies)
     return out
 
 

@@ -1,16 +1,17 @@
-"""Per-link SINRs: ITU indoor path loss, Rayleigh fading, dB conversions
-and interference aggregation."""
+"""Per-link SINRs of a block of trials: ITU indoor path loss, Rayleigh
+fading, dB conversions and interference aggregation."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .scenario import D, PAYLOAD_PAIRS, R1, R2, S
+
 if TYPE_CHECKING:
-    from .scenario import ScenarioConfig, ScenarioSample
+    from .scenario import ScenarioConfig, TrialBlock
 
 # Log-distance path loss diverges as d -> 0; relays can be drawn arbitrarily
 # close to an endpoint, so distances are clamped to this floor.
@@ -18,8 +19,24 @@ MIN_DISTANCE_M = 1.0
 
 _SQRT_HALF = math.sqrt(0.5)
 
+# Logarithms go through np.log alone: each further numpy math routine a
+# run calls (np.log10, np.log2, ...) pages in about 64 KiB more of numpy's
+# code, which shows in the peak memory of a run.
+_LN10 = math.log(10.0)
 
-def dbm_to_mw(dbm: float) -> float:
+# Directed payload links (tx, rx) every strategy evaluation may consume:
+# the columns of link_sinrs.
+SD, DS, SR1, R1D, DR1, R1S, SR2, R2D = range(8)
+LINKS = ((S, D), (D, S), (S, R1), (R1, D), (D, R1), (R1, S), (S, R2), (R2, D))
+
+_PAIR_TX, _PAIR_RX = np.array(PAYLOAD_PAIRS).T
+# Per link: the payload pair whose fading it uses, and its receiver.
+_LINK_PAIR = [PAYLOAD_PAIRS.index(link if link in PAYLOAD_PAIRS
+                                  else link[::-1]) for link in LINKS]
+_LINK_RX = [rx for _, rx in LINKS]
+
+
+def dbm_to_mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
@@ -29,19 +46,19 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
-def path_loss_db(freq_mhz: float, distance_m: float,
-                 coeff_db_per_decade: float = 28.0) -> float:
+def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float = 28.0):
     """ITU indoor path loss in dB, zero floor-penetration term.
 
     20*log10(f_MHz) + N*log10(d_m) - 28, with d clamped to MIN_DISTANCE_M.
+    Frequencies and distances may be broadcastable arrays.
     """
-    if freq_mhz <= 0:
+    if not np.min(freq_mhz) > 0:
         raise ValueError("frequency must be positive")
     if coeff_db_per_decade <= 0:
         raise ValueError("path loss coefficient must be positive")
-    d = max(distance_m, MIN_DISTANCE_M)
-    return 20.0 * math.log10(freq_mhz) \
-        + coeff_db_per_decade * math.log10(d) - 28.0
+    d = np.maximum(distance_m, MIN_DISTANCE_M)
+    return 20.0 * (np.log(freq_mhz) / _LN10) \
+        + coeff_db_per_decade * (np.log(d) / _LN10) - 28.0
 
 
 def draw_fading(rng: np.random.Generator) -> complex:
@@ -50,123 +67,47 @@ def draw_fading(rng: np.random.Generator) -> complex:
     return complex(re * _SQRT_HALF, im * _SQRT_HALF)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Received power bookkeeping for a single directed link."""
-
-    tx_power_dbm: float
-    path_loss_db: float
-    antenna_gain_total_db: float
-    fading_gain: complex
-
-    @property
-    def rx_power_dbm(self) -> float:
-        return (self.tx_power_dbm + self.antenna_gain_total_db
-                - self.path_loss_db
-                + 20.0 * math.log10(abs(self.fading_gain)))
-
-    @property
-    def rx_power_mw(self) -> float:
-        return dbm_to_mw(self.tx_power_dbm + self.antenna_gain_total_db
-                         - self.path_loss_db) * abs(self.fading_gain) ** 2
+def received_mw(power_dbm, gain_db, path_loss, normals):
+    """Received power in mW of a link: transmit power plus antenna gains
+    minus path loss, times |h|^2 of its fading gain h, which draw_fading
+    would make from the standard-normal pair (re, im) on the last axis of
+    `normals`."""
+    h = np.hypot(normals[..., 0] * _SQRT_HALF, normals[..., 1] * _SQRT_HALF)
+    return dbm_to_mw(power_dbm + gain_db - path_loss) * (h * h)
 
 
-@dataclass(frozen=True)
-class LinkPower:
-    """Linear SINR components of one directed link, all in mW."""
-
-    signal_mw: float
-    interference_mw: float
-    noise_mw: float
-
-    @property
-    def sinr(self) -> float:
-        return self.signal_mw / (self.interference_mw + self.noise_mw)
-
-
-class LinkSet:
-    """Per-trial SINR components for every directed link the strategies
-    consume."""
-
-    def __init__(self, entries: dict[tuple[str, str], LinkPower]):
-        self.entries = entries
-
-    def sinr(self, tx: str, rx: str) -> float:
-        return self.entries[(tx, rx)].sinr
-
-
-def _distance(sample: "ScenarioSample", a: str, b: str) -> float:
-    return sample.position_of(a).distance_to(sample.position_of(b))
-
-
-def interference_mw(rx: str, sample: "ScenarioSample",
-                    config: "ScenarioConfig") -> float:
-    """Aggregate interference power at a receiver in mW.
+def interference_mw(block: "TrialBlock",
+                    config: "ScenarioConfig") -> np.ndarray:
+    """Aggregate interference power in mW at each node, shape (B, 4) with
+    columns S, D, R1, R2.
 
     Only interferers occupying the trial's channel contribute; each enters
     through its own path loss and Rayleigh gain and is treated as extra
     Gaussian noise.
     """
-    total = 0.0
-    gain = 2.0 * config.antenna_gain_db
-    for j, interferer in enumerate(sample.interferers):
-        if interferer.channel_index != sample.channel_index:
-            continue
-        h = sample.fading_gain(f"I{j}", rx)
-        pl = path_loss_db(sample.carrier_freq_mhz,
-                          _distance(sample, f"I{j}", rx),
-                          config.path_loss_coeff_db_per_decade)
-        total += dbm_to_mw(interferer.power_dbm + gain - pl) * abs(h) ** 2
-    return total
+    trials, n = block.interferer_mhz.shape
+    offset = block.interferer_xy[:, :, None] - block.node_xy[:, None]
+    pl = path_loss_db(block.carrier_mhz[:, None, None],
+                      np.hypot(offset[..., 0], offset[..., 1]),
+                      config.path_loss_coeff_db_per_decade)
+    normals = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4, 2)
+    power = received_mw(config.interferer_power_dbm,
+                        2.0 * config.antenna_gain_db, pl, normals)
+    cochannel = block.interferer_mhz == block.carrier_mhz[:, None]
+    return np.where(cochannel[..., None], power, 0.0).sum(axis=1)
 
 
-def link_sinr(tx: str, rx: str, sample: "ScenarioSample",
-              config: "ScenarioConfig") -> float:
-    """Linear SINR of the directed link tx -> rx for one trial."""
-    return _link_power(tx, rx, sample, config,
-                       interference_mw(rx, sample, config)).sinr
-
-
-def _link_power(tx: str, rx: str, sample: "ScenarioSample",
-                config: "ScenarioConfig", interf_mw: float) -> LinkPower:
-    if tx == rx:
-        raise ValueError("link endpoints must differ")
-    noise_mw = dbm_to_mw(config.noise_power_dbm)
-    direct_pair = {tx, rx} == {"S", "D"}
-    if config.direct_blocked and direct_pair:
-        return LinkPower(0.0, interf_mw, noise_mw)
-    try:
-        h = sample.fading_gain(tx, rx)
-    except KeyError:
-        raise LookupError(f"no fading gain drawn for link {tx}->{rx}") \
-            from None
-    budget = LinkBudget(
-        tx_power_dbm=config.tx_power_dbm,
-        path_loss_db=path_loss_db(sample.carrier_freq_mhz,
-                                  _distance(sample, tx, rx),
-                                  config.path_loss_coeff_db_per_decade),
-        antenna_gain_total_db=2.0 * config.antenna_gain_db,
-        fading_gain=h,
-    )
-    return LinkPower(budget.rx_power_mw, interf_mw, noise_mw)
-
-
-# Directed payload links every strategy evaluation may consume, grouped by
-# receiver so interference is aggregated once per receiver.
-_LINKS_BY_RECEIVER = {
-    "D": (("S", "D"), ("R1", "D"), ("R2", "D")),
-    "S": (("D", "S"), ("R1", "S")),
-    "R1": (("S", "R1"), ("D", "R1")),
-    "R2": (("S", "R2"),),
-}
-
-
-def build_link_set(sample: "ScenarioSample",
-                   config: "ScenarioConfig") -> LinkSet:
-    """Compute SINR components for all payload links of one trial."""
-    entries: dict[tuple[str, str], LinkPower] = {}
-    for rx, links in _LINKS_BY_RECEIVER.items():
-        interf = interference_mw(rx, sample, config)
-        for tx, _ in links:
-            entries[(tx, rx)] = _link_power(tx, rx, sample, config, interf)
-    return LinkSet(entries)
+def link_sinrs(block: "TrialBlock", config: "ScenarioConfig") -> np.ndarray:
+    """Linear SINR of every directed payload link, shape (B, 8) with
+    columns SD, DS, SR1, R1D, DR1, R1S, SR2, R2D."""
+    offset = block.node_xy[:, _PAIR_TX] - block.node_xy[:, _PAIR_RX]
+    pl = path_loss_db(block.carrier_mhz[:, None],
+                      np.hypot(offset[..., 0], offset[..., 1]),
+                      config.path_loss_coeff_db_per_decade)
+    signal = received_mw(config.tx_power_dbm, 2.0 * config.antenna_gain_db,
+                         pl, block.fading[:, :len(PAYLOAD_PAIRS)])
+    if config.direct_blocked:
+        signal[:, PAYLOAD_PAIRS.index((S, D))] = 0.0
+    noise = dbm_to_mw(config.noise_power_dbm)
+    return signal[:, _LINK_PAIR] / (interference_mw(block, config)[:, _LINK_RX]
+                                    + noise)

@@ -1,41 +1,30 @@
-"""Experiment configuration and per-trial randomized geometry.
+"""Experiment configuration and randomized per-trial draws.
 
 One trial of the simulator places a source at the origin, a destination
-at (L, 0), up to two relays and a handful of co-band interferers uniformly
-in the box [0, L] x [-L/2, L/2], picks a random ZigBee channel, and draws
+at (L, 0), two relays and a handful of co-band interferers uniformly in
+the box [0, L] x [-L/2, L/2], picks a random ZigBee channel, and draws
 an independent Rayleigh fading gain for every link. Everything is derived
-deterministically from (master_seed, trial_index).
+deterministically from (master_seed, trial_index); draw_block is the one
+place that fixes the order of the draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .propagation import draw_fading
-
-NODE_SOURCE = "S"
-NODE_DEST = "D"
-NODE_RELAY1 = "R1"
-NODE_RELAY2 = "R2"
 
 CHANNEL_INDEX_MIN = 11
 CHANNEL_INDEX_MAX = 26
 
-# Undirected links that carry payload for at least one strategy. Fading is
-# reciprocal within a trial (TDD on a single carrier), so one complex gain
-# is drawn per pair and shared by both directions.
-_PAYLOAD_LINKS = (
-    (NODE_SOURCE, NODE_DEST),
-    (NODE_SOURCE, NODE_RELAY1),
-    (NODE_RELAY1, NODE_DEST),
-    (NODE_SOURCE, NODE_RELAY2),
-    (NODE_RELAY2, NODE_DEST),
-)
+# Node rows of TrialBlock.node_xy.
+S, D, R1, R2 = range(4)
 
-_RECEIVERS = (NODE_SOURCE, NODE_DEST, NODE_RELAY1, NODE_RELAY2)
+# Node pairs whose links carry payload for at least one strategy, in the
+# order their fading is drawn. Fading is reciprocal within a trial (TDD on
+# a single carrier), so one gain per pair serves both directions.
+PAYLOAD_PAIRS = ((S, D), (S, R1), (R1, D), (S, R2), (R2, D))
 
 
 def channel_frequency(k: int) -> float:
@@ -58,30 +47,6 @@ def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-@dataclass(frozen=True)
-class Position:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("position coordinates must be finite")
-
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-
-@dataclass(frozen=True)
-class Interferer:
-    """A co-band unlicensed user: position, transmit power, and the ZigBee
-    channel it occupies. It only degrades receivers whose trial landed on
-    the same channel."""
-
-    position: Position
-    power_dbm: float
-    channel_index: int
 
 
 @dataclass(frozen=True)
@@ -126,90 +91,63 @@ class ScenarioConfig:
             raise ValueError("master_seed must fit in 64 unsigned bits")
 
 
-@dataclass
-class ScenarioSample:
-    """One Monte Carlo draw: geometry, carrier, interferers and fading.
 
-    fading maps a directed node pair to the complex channel gain; payload
-    links store the same gain in both directions (reciprocity within a
-    trial), interferer links are keyed (interferer label, receiver).
+
+@dataclass(frozen=True)
+class TrialBlock:
+    """The draws of consecutive trials, one row per trial.
+
+    Channel draws are stored as carrier frequencies. Interferer arrays
+    have interferer_count_range[1] columns; a trial that drew fewer
+    interferers has padding in the rest: carrier 0 and zero fading, so it
+    adds no interference. `fading` holds the standard-normal pair
+    (re, im) behind each link's complex gain: the PAYLOAD_PAIRS first,
+    then, per interferer, its links to S, D, R1 and R2.
     """
 
-    source_pos: Position
-    destination_pos: Position
-    relay_positions: tuple[Position, ...]
-    interferers: tuple[Interferer, ...]
-    channel_index: int
-    carrier_freq_mhz: float
-    fading: dict[tuple[str, str], complex] = field(default_factory=dict)
-
-    def position_of(self, label: str) -> Position:
-        if label == NODE_SOURCE:
-            return self.source_pos
-        if label == NODE_DEST:
-            return self.destination_pos
-        if label == NODE_RELAY1:
-            return self.relay_positions[0]
-        if label == NODE_RELAY2:
-            return self.relay_positions[1]
-        if label.startswith("I"):
-            return self.interferers[int(label[1:])].position
-        raise KeyError(f"unknown node label {label!r}")
-
-    def fading_gain(self, tx: str, rx: str) -> complex:
-        return self.fading[(tx, rx)]
+    carrier_mhz: np.ndarray     # (B,) the link's channel
+    node_xy: np.ndarray         # (B, 4, 2) S, D, R1, R2 positions in m
+    interferer_xy: np.ndarray   # (B, n, 2) positions in m
+    interferer_mhz: np.ndarray  # (B, n) each interferer's channel
+    fading: np.ndarray          # (B, 5 + 4n, 2)
 
 
-def sample_positions(config: ScenarioConfig,
-                     trial_index: int) -> ScenarioSample:
-    """Draw one trial's randomized scenario.
+def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
+    """Draw trials [start, stop) of an experiment.
 
-    Pure function of (config, trial_index): the draw order below is fixed
-    and is part of the reproducibility contract.
+    Each trial reads only its own trial_stream, in this order, which is
+    part of the reproducibility contract:
       1. channel index k ~ U{11..26}
       2. relay 1 and relay 2 positions, x ~ U[0, L], y ~ U[-L/2, L/2]
       3. interferer count ~ U{min..max}, then per interferer: x, y, channel
-      4. fading for the five payload links, then interferer->receiver links
+      4. fading normals for the payload pairs, then the interferer links
     Two relays are always drawn so that every strategy sees the same
     channel realization (paired comparisons).
     """
-    rng = trial_stream(config.master_seed, trial_index)
+    trials = stop - start
     L = config.distance_m
-
-    k = int(rng.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1))
-    relays = tuple(
-        Position(float(rng.uniform(0.0, L)),
-                 float(rng.uniform(-L / 2, L / 2)))
-        for _ in range(2)
-    )
-
     lo, hi = config.interferer_count_range
-    n_int = int(rng.integers(lo, hi + 1))
-    interferers = tuple(
-        Interferer(
-            Position(float(rng.uniform(0.0, L)),
-                     float(rng.uniform(-L / 2, L / 2))),
-            config.interferer_power_dbm,
-            int(rng.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1)),
-        )
-        for _ in range(n_int)
-    )
-
-    fading: dict[tuple[str, str], complex] = {}
-    for a, b in _PAYLOAD_LINKS:
-        h = draw_fading(rng)
-        fading[(a, b)] = h
-        fading[(b, a)] = h
-    for j in range(n_int):
-        for rx in _RECEIVERS:
-            fading[(f"I{j}", rx)] = draw_fading(rng)
-
-    return ScenarioSample(
-        source_pos=Position(0.0, 0.0),
-        destination_pos=Position(L, 0.0),
-        relay_positions=relays,
-        interferers=interferers,
-        channel_index=k,
-        carrier_freq_mhz=channel_frequency(k),
-        fading=fading,
-    )
+    carrier_mhz = np.empty(trials)
+    node_xy = np.zeros((trials, 4, 2))
+    interferer_xy = np.zeros((trials, hi, 2))
+    interferer_mhz = np.zeros((trials, hi))
+    fading = np.zeros((trials, len(PAYLOAD_PAIRS) + 4 * hi, 2))
+    for t in range(trials):
+        rng = trial_stream(config.master_seed, start + t)
+        carrier_mhz[t] = channel_frequency(
+            rng.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1))
+        rng.random(out=node_xy[t, R1:])  # U[0, 1), mapped to the box below
+        n = rng.integers(lo, hi + 1)
+        for j in range(n):
+            rng.random(out=interferer_xy[t, j])
+            interferer_mhz[t, j] = channel_frequency(
+                rng.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1))
+        rng.standard_normal(out=fading[t, :len(PAYLOAD_PAIRS) + 4 * n])
+    # Generator.uniform(low, high) computes low + (high - low) * u, so
+    # this matches drawing each coordinate with it, bit for bit.
+    for xy in (node_xy[:, R1:], interferer_xy):
+        xy *= L
+        xy[..., 1] -= L / 2
+    node_xy[:, D, 0] = L
+    return TrialBlock(carrier_mhz, node_xy, interferer_xy, interferer_mhz,
+                      fading)

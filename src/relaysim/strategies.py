@@ -4,16 +4,19 @@ All relayed strategies are half-duplex: one-way relaying spends two time
 slots (1/2 prelog), unidirectional information exchange through a relay
 spends four (1/4 prelog), bidirectional relaying exchanges in two. The
 destination maximal-ratio combines direct and relayed copies, so SNRs add.
+
+Every rate formula takes SNRs as floats or as equally shaped arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import partial
 
-from .propagation import LinkSet
+import numpy as np
+
+from .propagation import DR1, DS, R1D, R1S, R2D, SD, SR1, SR2
 
 
 class StrategyKind(Enum):
@@ -39,99 +42,90 @@ class StrategyKind(Enum):
 ALL_STRATEGIES = tuple(StrategyKind)
 
 
-@dataclass(frozen=True)
-class RateResult:
-    strategy: StrategyKind
-    spectral_efficiency: float  # bits/s/Hz
-    per_direction: Optional[tuple[float, float]] = None
+_LN2 = math.log(2.0)
 
 
-def _check_nonneg(*snrs: float) -> None:
+def _check_nonneg(*snrs) -> None:
     for g in snrs:
-        if g < 0 or math.isnan(g):
-            raise ValueError(f"SNR must be non-negative, got {g}")
+        if not np.min(g) >= 0:  # a NaN minimum fails too
+            raise ValueError(f"SNR must be non-negative, got {np.min(g)}")
 
 
-def _lg(snr: float) -> float:
-    return math.log2(1.0 + snr)
+def _lg(snr):
+    # np.log for log2: see the note on numpy routines in propagation.py.
+    return np.log(1.0 + snr) / _LN2
 
 
-def rate_direct(snr_sd: float) -> float:
+def rate_direct(snr_sd):
     """Full-slot point-to-point rate log2(1 + SNR)."""
     _check_nonneg(snr_sd)
     return _lg(snr_sd)
 
 
-def af_equivalent_snr(g1: float, g2: float) -> float:
+def af_equivalent_snr(g1, g2):
     """End-to-end SNR of a variable-gain AF hop with noise amplification:
-    g1*g2 / (g1 + g2 + 1)."""
+    g1*g2 / (g1 + g2 + 1), zero when either hop is dead."""
     _check_nonneg(g1, g2)
-    if g1 == 0.0 or g2 == 0.0:
-        return 0.0
     return g1 * g2 / (g1 + g2 + 1.0)
 
 
-def rate_af_single(snr_sd: float, snr_sr: float, snr_rd: float) -> float:
+def rate_af_single(snr_sd, snr_sr, snr_rd):
     """Single-relay AF with MRC of direct and relayed copies."""
     _check_nonneg(snr_sd, snr_sr, snr_rd)
     return 0.5 * _lg(snr_sd + af_equivalent_snr(snr_sr, snr_rd))
 
 
-def rate_df_single(snr_sd: float, snr_sr: float, snr_rd: float) -> float:
+def rate_df_single(snr_sd, snr_sr, snr_rd):
     """Single-relay repetition-coded DF: decode constraint at the relay,
     MRC at the destination."""
     _check_nonneg(snr_sd, snr_sr, snr_rd)
-    return 0.5 * min(_lg(snr_sr), _lg(snr_sd + snr_rd))
+    return 0.5 * np.minimum(_lg(snr_sr), _lg(snr_sd + snr_rd))
 
 
-def rate_af_beamform2(snr_sd: float, snr_sr1: float, snr_r1d: float,
-                      snr_sr2: float, snr_r2d: float) -> float:
+def rate_af_beamform2(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d):
     """Two-relay AF with collaborative beamforming: the co-phased relay
     paths add in amplitude at the destination."""
     _check_nonneg(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d)
-    g1 = af_equivalent_snr(snr_sr1, snr_r1d)
-    g2 = af_equivalent_snr(snr_sr2, snr_r2d)
-    combined = (math.sqrt(g1) + math.sqrt(g2)) ** 2
-    return 0.5 * _lg(snr_sd + combined)
+    amplitude = (np.sqrt(af_equivalent_snr(snr_sr1, snr_r1d))
+                 + np.sqrt(af_equivalent_snr(snr_sr2, snr_r2d)))
+    return 0.5 * _lg(snr_sd + amplitude * amplitude)
 
 
-def rate_df_beamform2(snr_sd: float, snr_sr1: float, snr_r1d: float,
-                      snr_sr2: float, snr_r2d: float) -> float:
+def rate_df_beamform2(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d):
     """Two-relay DF with collaborative beamforming: both relays must decode
     (the weaker source->relay link binds), coherent retransmission adds in
     amplitude at the destination."""
     _check_nonneg(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d)
-    combined = (math.sqrt(snr_r1d) + math.sqrt(snr_r2d)) ** 2
-    return 0.5 * min(_lg(snr_sr1), _lg(snr_sr2), _lg(snr_sd + combined))
+    amplitude = np.sqrt(snr_r1d) + np.sqrt(snr_r2d)
+    return 0.5 * np.minimum(np.minimum(_lg(snr_sr1), _lg(snr_sr2)),
+                            _lg(snr_sd + amplitude * amplitude))
 
 
-def twoway_af_snrs(g_a: float, g_b: float) -> tuple[float, float]:
+def twoway_af_snrs(g_a, g_b):
     """Post-cancellation SNRs at end nodes A and B for two-way AF.
 
     The relay normalizes its transmit power over the superposed reception
     and both end nodes subtract their own contribution perfectly, leaving
-    snr_at_A = g_a*g_b/(2*g_a + g_b + 1) and symmetrically for B.
-    Channels are reciprocal within the trial.
+    snr_at_A = g_a*g_b/(2*g_a + g_b + 1) and symmetrically for B, both
+    zero when either link is dead. Channels are reciprocal within the
+    trial.
     """
     _check_nonneg(g_a, g_b)
-    if g_a == 0.0 or g_b == 0.0:
-        return (0.0, 0.0)
     prod = g_a * g_b
     return (prod / (2.0 * g_a + g_b + 1.0),
             prod / (g_a + 2.0 * g_b + 1.0))
 
 
-def rate_twoway_af(g_a: float, g_b: float) -> RateResult:
-    """Two-slot bidirectional AF; the direct link is unused (half duplex)."""
+def rate_twoway_af(g_a, g_b):
+    """Two-slot bidirectional AF; the direct link is unused (half duplex).
+    Returns the rates (A->B, B->A)."""
     snr_a, snr_b = twoway_af_snrs(g_a, g_b)
-    a_to_b = 0.5 * _lg(snr_b)
-    b_to_a = 0.5 * _lg(snr_a)
-    return RateResult(StrategyKind.TWOWAY_AF, a_to_b + b_to_a,
-                      (a_to_b, b_to_a))
+    return 0.5 * _lg(snr_b), 0.5 * _lg(snr_a)
 
 
-def rate_twoway_df(g_a: float, g_b: float) -> RateResult:
+def rate_twoway_df(g_a, g_b):
     """Two-slot bidirectional DF with successive decoding at the relay.
+    Returns the rates (A->B, B->A).
 
     MAC slot: the stronger stream (tie -> A first) is decoded treating the
     other as interference, then the weaker interference-free. Broadcast
@@ -139,76 +133,54 @@ def rate_twoway_df(g_a: float, g_b: float) -> RateResult:
     limited by its own downlink.
     """
     _check_nonneg(g_a, g_b)
-    if g_a >= g_b:
-        r_a_mac = _lg(g_a / (1.0 + g_b))
-        r_b_mac = _lg(g_b)
-    else:
-        r_a_mac = _lg(g_a)
-        r_b_mac = _lg(g_b / (1.0 + g_a))
-    a_to_b = 0.5 * min(r_a_mac, _lg(g_b))
-    b_to_a = 0.5 * min(r_b_mac, _lg(g_a))
-    return RateResult(StrategyKind.TWOWAY_DF, a_to_b + b_to_a,
-                      (a_to_b, b_to_a))
+    a_first = g_a >= g_b
+    r_a_mac = np.where(a_first, _lg(g_a / (1.0 + g_b)), _lg(g_a))
+    r_b_mac = np.where(a_first, _lg(g_b), _lg(g_b / (1.0 + g_a)))
+    return (0.5 * np.minimum(r_a_mac, _lg(g_b)),
+            0.5 * np.minimum(r_b_mac, _lg(g_a)))
 
 
-def rate_exchange_baseline(kind: StrategyKind, links: LinkSet) -> RateResult:
-    """Unidirectional information-exchange baselines.
+def rate_exchange(one_way, *snrs):
+    """Unidirectional information exchange: the one-way strategy in each
+    direction, each in half the slots of the exchange (two slots for the
+    direct exchange, four through a relay). The first half of `snrs` are
+    one_way's arguments forward, the second half in reverse. Returns the
+    rates (forward, reverse)."""
+    half = len(snrs) // 2
+    return 0.5 * one_way(*snrs[:half]), 0.5 * one_way(*snrs[half:])
 
-    DirectExchange uses two half-duplex slots; the relayed exchanges run
-    the one-way combined-SNR capacity in each direction through the same
-    relay at a 1/4 slot factor (four slots total).
+
+# Each strategy's formula and the link_sinrs columns of its arguments. The
+# two-way strategies use end node A = S, end node B = D and relay R1; their
+# node-relay SINRs take interference as seen at the relay (the receiver of
+# the multiple-access slot).
+_FORMULAS = {
+    StrategyKind.DIRECT: (rate_direct, (SD,)),
+    StrategyKind.AF_SINGLE: (rate_af_single, (SD, SR1, R1D)),
+    StrategyKind.DF_SINGLE: (rate_df_single, (SD, SR1, R1D)),
+    StrategyKind.AF_BEAMFORM2: (rate_af_beamform2, (SD, SR1, R1D, SR2, R2D)),
+    StrategyKind.DF_BEAMFORM2: (rate_df_beamform2, (SD, SR1, R1D, SR2, R2D)),
+    StrategyKind.TWOWAY_AF: (rate_twoway_af, (SR1, DR1)),
+    StrategyKind.TWOWAY_DF: (rate_twoway_df, (SR1, DR1)),
+    StrategyKind.DIRECT_EXCHANGE: (partial(rate_exchange, rate_direct),
+                                   (SD, DS)),
+    StrategyKind.UNI_AF_EXCHANGE: (partial(rate_exchange, rate_af_single),
+                                   (SD, SR1, R1D, DS, DR1, R1S)),
+    StrategyKind.UNI_DF_EXCHANGE: (partial(rate_exchange, rate_df_single),
+                                   (SD, SR1, R1D, DS, DR1, R1S)),
+}
+
+
+def strategy_rates(sinr, kinds) -> np.ndarray:
+    """Spectral efficiency in bits/s/Hz of each strategy in `kinds`.
+
+    sinr holds the directed payload SINRs on its last axis, in link_sinrs
+    column order; the result has one entry per kind on its last axis.
+    Exchange strategies report the sum of their two directions.
     """
-    if kind == StrategyKind.DIRECT_EXCHANGE:
-        fwd = 0.5 * _lg(links.sinr("S", "D"))
-        rev = 0.5 * _lg(links.sinr("D", "S"))
-    elif kind == StrategyKind.UNI_AF_EXCHANGE:
-        fwd = 0.25 * _lg(links.sinr("S", "D")
-                         + af_equivalent_snr(links.sinr("S", "R1"),
-                                             links.sinr("R1", "D")))
-        rev = 0.25 * _lg(links.sinr("D", "S")
-                         + af_equivalent_snr(links.sinr("D", "R1"),
-                                             links.sinr("R1", "S")))
-    elif kind == StrategyKind.UNI_DF_EXCHANGE:
-        fwd = 0.25 * min(_lg(links.sinr("S", "R1")),
-                         _lg(links.sinr("S", "D") + links.sinr("R1", "D")))
-        rev = 0.25 * min(_lg(links.sinr("D", "R1")),
-                         _lg(links.sinr("D", "S") + links.sinr("R1", "S")))
-    else:
-        raise ValueError(f"{kind} is not an exchange baseline")
-    return RateResult(kind, fwd + rev, (fwd, rev))
-
-
-def evaluate_strategy(kind: StrategyKind, links: LinkSet) -> RateResult:
-    """Evaluate one strategy on a trial's link set.
-
-    Two-way strategies use end node A = S, end node B = D and relay R1;
-    their node-relay SINRs take interference as seen at the relay (the
-    receiver of the multiple-access slot).
-    """
-    if kind == StrategyKind.DIRECT:
-        return RateResult(kind, rate_direct(links.sinr("S", "D")))
-    if kind == StrategyKind.AF_SINGLE:
-        return RateResult(kind, rate_af_single(links.sinr("S", "D"),
-                                               links.sinr("S", "R1"),
-                                               links.sinr("R1", "D")))
-    if kind == StrategyKind.DF_SINGLE:
-        return RateResult(kind, rate_df_single(links.sinr("S", "D"),
-                                               links.sinr("S", "R1"),
-                                               links.sinr("R1", "D")))
-    if kind == StrategyKind.AF_BEAMFORM2:
-        return RateResult(kind, rate_af_beamform2(links.sinr("S", "D"),
-                                                  links.sinr("S", "R1"),
-                                                  links.sinr("R1", "D"),
-                                                  links.sinr("S", "R2"),
-                                                  links.sinr("R2", "D")))
-    if kind == StrategyKind.DF_BEAMFORM2:
-        return RateResult(kind, rate_df_beamform2(links.sinr("S", "D"),
-                                                  links.sinr("S", "R1"),
-                                                  links.sinr("R1", "D"),
-                                                  links.sinr("S", "R2"),
-                                                  links.sinr("R2", "D")))
-    if kind == StrategyKind.TWOWAY_AF:
-        return rate_twoway_af(links.sinr("S", "R1"), links.sinr("D", "R1"))
-    if kind == StrategyKind.TWOWAY_DF:
-        return rate_twoway_df(links.sinr("S", "R1"), links.sinr("D", "R1"))
-    return rate_exchange_baseline(kind, links)
+    rates = []
+    for kind in kinds:
+        formula, columns = _FORMULAS[kind]
+        rate = formula(*(sinr[..., c] for c in columns))
+        rates.append(rate[0] + rate[1] if kind.is_exchange else rate)
+    return np.stack(rates, axis=-1)

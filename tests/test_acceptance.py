@@ -19,7 +19,7 @@ from relaysim.montecarlo import EmpiricalCdf, SweepSpec, percentile, \
     run_cdf, run_sweep
 from relaysim.propagation import dbm_to_mw, draw_fading, mw_to_dbm, \
     path_loss_db
-from relaysim.scenario import ScenarioConfig, sample_positions
+from relaysim.scenario import R1, ScenarioConfig, draw_block
 from relaysim.strategies import ALL_STRATEGIES, StrategyKind, \
     af_equivalent_snr, rate_af_single, rate_df_single, twoway_af_snrs
 
@@ -175,8 +175,7 @@ def test_criterion_9_invariant_suite():
 
     # relay-x marginal uniform on [0, L]
     cfg = ScenarioConfig(distance_m=100.0, master_seed=4)
-    xs = np.array([sample_positions(cfg, i).relay_positions[0].x
-                   for i in range(10_000)])
+    xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
     ok &= scipy_stats.kstest(xs / 100.0, "uniform").statistic < 0.02
 
     # rate monotonicity spot grid

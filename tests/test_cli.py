@@ -107,6 +107,12 @@ class TestValidation:
         with pytest.raises(CliError, match="unknown key 'bandwidth_hz'"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("argv", [["--lstep", "1e-320"],
+                                      ["--lmax", "1e6", "--lstep", "1e-3"]])
+    def test_sweep_grid_too_fine_names_lstep(self, argv):
+        with pytest.raises(CliError, match="lstep .* sweep points"):
+            resolve_settings(argv)
+
     def test_sweep_grid_does_not_accumulate(self):
         grid = Settings(lmin=0.1, lstep=3.3, lmax=16500.1).sweep_distances()
         assert len(grid) == 5001

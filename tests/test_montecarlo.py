@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -8,17 +7,16 @@ from relaysim.montecarlo import (
     EmpiricalCdf,
     SummaryStats,
     SweepSpec,
-    evaluate_sample,
     percentile,
     run_cdf,
     run_point,
     run_sweep,
-    run_trial,
 )
+from relaysim.propagation import link_sinrs
 from relaysim.scenario import ScenarioConfig
-from relaysim.strategies import ALL_STRATEGIES, StrategyKind
+from relaysim.strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 
-from test_propagation import _unit_fading_sample
+from test_propagation import _unit_fading_block
 
 
 class TestEmpiricalCdf:
@@ -103,41 +101,43 @@ class TestSweepSpec:
 
 
 class TestRunTrial:
+    """Per-trial results of run_point."""
+
     def test_deterministic(self):
         cfg = ScenarioConfig(distance_m=50.0, master_seed=77)
-        assert run_trial(cfg, 3) == run_trial(cfg, 3)
+        a, b = run_point(cfg, 4), run_point(cfg, 4)
+        for kind in ALL_STRATEGIES:
+            assert a[kind][3] == b[kind][3]
 
     def test_blocked_direct_zeroes_direct(self):
         cfg = ScenarioConfig(distance_m=50.0, direct_blocked=True,
                              master_seed=5)
-        for i in range(50):
-            rates = run_trial(cfg, i, (StrategyKind.DIRECT,
-                                       StrategyKind.DIRECT_EXCHANGE))
-            assert rates[StrategyKind.DIRECT] == 0.0
-            assert rates[StrategyKind.DIRECT_EXCHANGE] == 0.0
+        rates = run_point(cfg, 50, (StrategyKind.DIRECT,
+                                    StrategyKind.DIRECT_EXCHANGE))
+        assert np.all(rates[StrategyKind.DIRECT] == 0.0)
+        assert np.all(rates[StrategyKind.DIRECT_EXCHANGE] == 0.0)
 
     def test_all_rates_nonnegative(self):
         cfg = ScenarioConfig(distance_m=70.0, master_seed=6)
-        for i in range(100):
-            for v in run_trial(cfg, i).values():
-                assert v >= 0.0 and math.isfinite(v)
+        for v in run_point(cfg, 100).values():
+            assert np.all(v >= 0.0) and np.all(np.isfinite(v))
 
     def test_unit_fading_direct_rate(self):
         # interference disabled, |h| = 1, L = 10 m: SNR 47.38 dB, so
         # direct rate log2(1 + 10^4.738) ~ 15.74 bits/s/Hz
         cfg = ScenarioConfig(distance_m=10.0,
                              interferer_count_range=(0, 0))
-        sample = _unit_fading_sample(10.0)
-        rates = evaluate_sample(sample, cfg, (StrategyKind.DIRECT,))
-        assert rates[StrategyKind.DIRECT] == pytest.approx(15.74, abs=0.05)
+        sinr = link_sinrs(_unit_fading_block(10.0), cfg)
+        rates = strategy_rates(sinr, (StrategyKind.DIRECT,))
+        assert rates[0, 0] == pytest.approx(15.74, abs=0.05)
 
     def test_shared_link_set_across_strategies(self):
         # evaluating a single strategy must match the paired evaluation
         cfg = ScenarioConfig(distance_m=70.0, master_seed=8)
-        paired = run_trial(cfg, 11, ALL_STRATEGIES)
+        paired = run_point(cfg, 12, ALL_STRATEGIES)
         for kind in ALL_STRATEGIES:
-            alone = run_trial(cfg, 11, (kind,))
-            assert alone[kind] == paired[kind]
+            alone = run_point(cfg, 12, (kind,))
+            assert alone[kind][11] == paired[kind][11]
 
 
 class TestRunPoint:
@@ -148,6 +148,16 @@ class TestRunPoint:
         long = run_point(cfg, 100, kinds)
         for kind in kinds:
             np.testing.assert_array_equal(short[kind], long[kind][:50])
+
+    def test_block_boundaries_do_not_change_results(self):
+        cfg = ScenarioConfig(distance_m=60.0, master_seed=24,
+                             interferer_count_range=(0, 4))
+        n = 2 * montecarlo.BLOCK_TRIALS + 7
+        whole = montecarlo._run_range(cfg, 0, n, ALL_STRATEGIES)
+        cuts = [0, 5, montecarlo.BLOCK_TRIALS + 3, n]
+        pieces = [montecarlo._run_range(cfg, a, b, ALL_STRATEGIES)
+                  for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(whole, np.vstack(pieces))
 
     def test_worker_count_invariance(self):
         cfg = ScenarioConfig(distance_m=60.0, master_seed=22)

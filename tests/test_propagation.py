@@ -6,20 +6,23 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from relaysim.propagation import (
-    LinkBudget,
-    build_link_set,
+    DS,
+    SD,
+    SR1,
     dbm_to_mw,
     draw_fading,
-    link_sinr,
+    interference_mw,
+    link_sinrs,
     mw_to_dbm,
     path_loss_db,
+    received_mw,
 )
 from relaysim.scenario import (
-    Interferer,
-    Position,
+    D,
     ScenarioConfig,
-    ScenarioSample,
-    sample_positions,
+    TrialBlock,
+    channel_frequency,
+    draw_block,
 )
 
 
@@ -86,25 +89,26 @@ class TestFading:
         assert resultant < 0.01
 
 
-def _unit_fading_sample(L, interferers=()):
-    """A hand-built draw with |h| = 1 on every link."""
-    fading = {}
-    for a, b in (("S", "D"), ("S", "R1"), ("R1", "D"),
-                 ("S", "R2"), ("R2", "D")):
-        fading[(a, b)] = 1 + 0j
-        fading[(b, a)] = 1 + 0j
-    for j in range(len(interferers)):
-        for rx in ("S", "D", "R1", "R2"):
-            fading[(f"I{j}", rx)] = 1 + 0j
-    return ScenarioSample(
-        source_pos=Position(0.0, 0.0),
-        destination_pos=Position(L, 0.0),
-        relay_positions=(Position(L / 2, 0.0), Position(L / 2, 1.0)),
-        interferers=tuple(interferers),
-        channel_index=11,
-        carrier_freq_mhz=2405.0,
+def _unit_fading_block(L, interferers=()):
+    """A hand-built one-trial draw on channel 11 with |h| = 1 (to rounding)
+    on every link; interferers are (x, y, channel index) tuples."""
+    n = len(interferers)
+    fading = np.zeros((1, 5 + 4 * n, 2))
+    fading[..., 0] = math.sqrt(2.0)
+    return TrialBlock(
+        carrier_mhz=np.array([2405.0]),
+        node_xy=np.array([[(0.0, 0.0), (L, 0.0), (L / 2, 0.0),
+                           (L / 2, 1.0)]]),
+        interferer_xy=np.array([(x, y) for x, y, _ in interferers],
+                               dtype=float).reshape(1, n, 2),
+        interferer_mhz=np.array([channel_frequency(k)
+                                 for *_, k in interferers]).reshape(1, n),
         fading=fading,
     )
+
+
+def _sinr(block, cfg, link):
+    return link_sinrs(block, cfg)[0, link]
 
 
 class TestLinkSinr:
@@ -113,32 +117,30 @@ class TestLinkSinr:
         # SINR against -110 dBm noise is 47.38 dB
         cfg = ScenarioConfig(distance_m=10.0,
                              interferer_count_range=(0, 0))
-        sample = _unit_fading_sample(10.0)
-        sinr_db = 10 * math.log10(link_sinr("S", "D", sample, cfg))
+        block = _unit_fading_block(10.0)
+        sinr_db = 10 * math.log10(_sinr(block, cfg, SD))
         assert sinr_db == pytest.approx(47.38, abs=0.05)
 
     def test_direct_blocked_is_zero(self):
         cfg = ScenarioConfig(distance_m=10.0, direct_blocked=True,
                              interferer_count_range=(0, 0))
-        sample = _unit_fading_sample(10.0)
-        assert link_sinr("S", "D", sample, cfg) == 0.0
-        assert link_sinr("D", "S", sample, cfg) == 0.0
-        assert link_sinr("S", "R1", sample, cfg) > 0.0
+        block = _unit_fading_block(10.0)
+        assert _sinr(block, cfg, SD) == 0.0
+        assert _sinr(block, cfg, DS) == 0.0
+        assert _sinr(block, cfg, SR1) > 0.0
 
     def test_colocated_interferer_gives_minus_3db(self):
         # co-channel interferer sitting on the source: identical path, so
         # SINR ~ 0 dBm / 3 dBm = -3 dB (noise negligible)
-        interferer = Interferer(Position(0.0, 0.0), 3.0, channel_index=11)
         cfg = ScenarioConfig(distance_m=10.0)
-        sample = _unit_fading_sample(10.0, [interferer])
-        sinr_db = 10 * math.log10(link_sinr("S", "D", sample, cfg))
+        block = _unit_fading_block(10.0, [(0.0, 0.0, 11)])
+        sinr_db = 10 * math.log10(_sinr(block, cfg, SD))
         assert sinr_db == pytest.approx(-3.0, abs=0.1)
 
     def test_off_channel_interferer_ignored(self):
-        interferer = Interferer(Position(0.0, 0.0), 3.0, channel_index=12)
         cfg = ScenarioConfig(distance_m=10.0)
-        sample = _unit_fading_sample(10.0, [interferer])
-        sinr_db = 10 * math.log10(link_sinr("S", "D", sample, cfg))
+        block = _unit_fading_block(10.0, [(0.0, 0.0, 12)])
+        sinr_db = 10 * math.log10(_sinr(block, cfg, SD))
         assert sinr_db == pytest.approx(47.38, abs=0.05)
 
     def test_monotone_decreasing_in_distance(self):
@@ -146,66 +148,55 @@ class TestLinkSinr:
         last = math.inf
         for L in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0):
             cfg = ScenarioConfig(distance_m=L, **cfg_template)
-            sinr = link_sinr("S", "D", _unit_fading_sample(L), cfg)
+            sinr = _sinr(_unit_fading_block(L), cfg, SD)
             assert sinr < last
             last = sinr
 
     def test_interference_additivity(self):
-        i1 = Interferer(Position(3.0, 4.0), 3.0, channel_index=11)
-        i2 = Interferer(Position(7.0, -2.0), 3.0, channel_index=11)
+        i1 = (3.0, 4.0, 11)
+        i2 = (7.0, -2.0, 11)
         cfg = ScenarioConfig(distance_m=10.0)
-        from relaysim.propagation import interference_mw
-        both = interference_mw("D", _unit_fading_sample(10.0, [i1, i2]), cfg)
-        only1 = interference_mw("D", _unit_fading_sample(10.0, [i1]), cfg)
-        only2 = interference_mw("D", _unit_fading_sample(10.0, [i2]), cfg)
+
+        def at_d(*interferers):
+            return interference_mw(_unit_fading_block(10.0, interferers),
+                                   cfg)[0, D]
+
+        both, only1, only2 = at_d(i1, i2), at_d(i1), at_d(i2)
         assert both == pytest.approx(only1 + only2, rel=1e-12)
-        sig = _unit_fading_sample(10.0, [i1, i2])
+        sig = _unit_fading_block(10.0, [i1, i2])
         noise = dbm_to_mw(cfg.noise_power_dbm)
-        expected = link_sinr("S", "D", _unit_fading_sample(10.0), cfg) \
+        expected = _sinr(_unit_fading_block(10.0), cfg, SD) \
             * noise / (only1 + only2 + noise)
-        assert link_sinr("S", "D", sig, cfg) == pytest.approx(expected,
-                                                              rel=1e-12)
-
-    def test_missing_fading_fails_fast(self):
-        sample = _unit_fading_sample(10.0)
-        del sample.fading[("S", "D")]
-        cfg = ScenarioConfig(distance_m=10.0)
-        with pytest.raises(LookupError, match="S->D"):
-            link_sinr("S", "D", sample, cfg)
-
-    def test_same_endpoints_rejected(self):
-        cfg = ScenarioConfig(distance_m=10.0)
-        with pytest.raises(ValueError):
-            link_sinr("S", "S", _unit_fading_sample(10.0), cfg)
+        assert _sinr(sig, cfg, SD) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLinkBudget:
     def test_rx_power_identity(self):
-        budget = LinkBudget(tx_power_dbm=0.0, path_loss_db=67.62,
-                            antenna_gain_total_db=5.0,
-                            fading_gain=0.5 + 0.5j)
-        expected = 0.0 + 5.0 - 67.62 + 20 * math.log10(abs(0.5 + 0.5j))
-        assert budget.rx_power_dbm == pytest.approx(expected)
-        assert dbm_to_mw(budget.rx_power_dbm) == \
-            pytest.approx(budget.rx_power_mw, rel=1e-12)
+        # the dB budget with 20*log10|h| equals the linear one with |h|^2
+        normals = np.array([0.5, 0.5]) / math.sqrt(0.5)
+        h = abs(complex(*(normals * math.sqrt(0.5))))
+        expected = 0.0 + 5.0 - 67.62 + 20 * math.log10(h)
+        assert dbm_to_mw(expected) == pytest.approx(
+            received_mw(0.0, 5.0, 67.62, normals), rel=1e-12)
 
 
 class TestBuildLinkSet:
+    """link_sinrs over a block of trials."""
+
     def test_matches_link_sinr(self):
+        # a trial's SINRs do not depend on the block it is evaluated in
         cfg = ScenarioConfig(distance_m=70.0, master_seed=9)
-        sample = sample_positions(cfg, 5)
-        links = build_link_set(sample, cfg)
-        for tx, rx in links.entries:
-            assert links.sinr(tx, rx) == pytest.approx(
-                link_sinr(tx, rx, sample, cfg), rel=1e-12)
+        block = link_sinrs(draw_block(cfg, 0, 12), cfg)
+        for t in range(12):
+            alone = link_sinrs(draw_block(cfg, t, t + 1), cfg)[0]
+            assert block[t] == pytest.approx(alone, rel=1e-12)
 
     def test_powers_nonnegative_and_noise_floor(self):
         cfg = ScenarioConfig(distance_m=70.0, master_seed=9)
-        sample = sample_positions(cfg, 8)
-        links = build_link_set(sample, cfg)
-        noise = dbm_to_mw(cfg.noise_power_dbm)
-        for lp in links.entries.values():
-            assert lp.signal_mw >= 0.0
-            assert lp.interference_mw >= 0.0
-            assert lp.noise_mw == noise
-            assert lp.sinr >= 0.0 and math.isfinite(lp.sinr)
+        block = draw_block(cfg, 8, 9)
+        assert np.all(interference_mw(block, cfg) >= 0.0)
+        sinr = link_sinrs(block, cfg)
+        assert np.all(sinr >= 0.0) and np.all(np.isfinite(sinr))
+        quiet = ScenarioConfig(distance_m=70.0, master_seed=9,
+                               interferer_power_dbm=float("-inf"))
+        assert not interference_mw(block, quiet).any()  # noise alone

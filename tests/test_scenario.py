@@ -4,15 +4,32 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from relaysim.propagation import DS, R1S, SD, SR1, link_sinrs
 from relaysim.scenario import (
     CHANNEL_INDEX_MAX,
     CHANNEL_INDEX_MIN,
-    Position,
+    D,
+    R1,
+    R2,
+    S,
     ScenarioConfig,
     channel_frequency,
-    sample_positions,
+    draw_block,
     trial_stream,
 )
+
+CARRIERS_MHZ = [channel_frequency(k)
+                for k in range(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1)]
+
+
+def _blocks_equal(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+def _drawn(block, t):
+    """Interferer positions trial t drew; padding has carrier 0."""
+    return block.interferer_xy[t][block.interferer_mhz[t] > 0]
 
 
 class TestChannelFrequency:
@@ -65,71 +82,102 @@ class TestConfigValidation:
 class TestSampling:
     def test_box_containment(self):
         cfg = ScenarioConfig(distance_m=100.0, master_seed=7)
-        for i in range(200):
-            s = sample_positions(cfg, i)
-            for pos in s.relay_positions:
-                assert 0.0 <= pos.x <= 100.0
-                assert -50.0 <= pos.y <= 50.0
-            for interferer in s.interferers:
-                assert 0.0 <= interferer.position.x <= 100.0
-                assert -50.0 <= interferer.position.y <= 50.0
+        block = draw_block(cfg, 0, 200)
+        for t in range(200):
+            for x, y in [*block.node_xy[t, [R1, R2]], *_drawn(block, t)]:
+                assert 0.0 <= x <= 100.0
+                assert -50.0 <= y <= 50.0
 
     def test_endpoints_fixed(self):
         cfg = ScenarioConfig(distance_m=80.0)
-        s = sample_positions(cfg, 0)
-        assert s.source_pos == Position(0.0, 0.0)
-        assert s.destination_pos == Position(80.0, 0.0)
+        block = draw_block(cfg, 0, 1)
+        assert tuple(block.node_xy[0, S]) == (0.0, 0.0)
+        assert tuple(block.node_xy[0, D]) == (80.0, 0.0)
 
     def test_determinism(self):
         cfg = ScenarioConfig(distance_m=60.0, master_seed=99)
-        a = sample_positions(cfg, 17)
-        b = sample_positions(cfg, 17)
-        assert a == b
+        a = draw_block(cfg, 17, 18)
+        b = draw_block(cfg, 17, 18)
+        assert _blocks_equal(a, b)
 
     def test_trials_differ(self):
         cfg = ScenarioConfig(distance_m=60.0, master_seed=99)
-        assert sample_positions(cfg, 0) != sample_positions(cfg, 1)
+        assert not _blocks_equal(draw_block(cfg, 0, 1), draw_block(cfg, 1, 2))
+
+    def test_block_rows_match_single_trials(self):
+        # a trial's draws do not depend on the block it is drawn in
+        cfg = ScenarioConfig(interferer_count_range=(0, 6), master_seed=19)
+        block = draw_block(cfg, 3, 11)
+        for t in range(8):
+            alone = draw_block(cfg, 3 + t, 4 + t)
+            for f in dataclasses.fields(block):
+                np.testing.assert_array_equal(getattr(block, f.name)[t],
+                                              getattr(alone, f.name)[0])
+
+    def test_draws_follow_contract_order(self):
+        # reference: the contract's draws made one call at a time
+        cfg = ScenarioConfig(distance_m=30.0, interferer_count_range=(0, 4),
+                             master_seed=29)
+        L = cfg.distance_m
+        block = draw_block(cfg, 5, 45)
+        for t in range(40):
+            rng = trial_stream(cfg.master_seed, 5 + t)
+            assert block.carrier_mhz[t] == channel_frequency(
+                rng.integers(11, 27))
+            for relay in (R1, R2):
+                assert tuple(block.node_xy[t, relay]) == (
+                    rng.uniform(0.0, L), rng.uniform(-L / 2, L / 2))
+            n = rng.integers(0, 5)
+            for j in range(n):
+                assert tuple(block.interferer_xy[t, j]) == (
+                    rng.uniform(0.0, L), rng.uniform(-L / 2, L / 2))
+                assert block.interferer_mhz[t, j] == channel_frequency(
+                    rng.integers(11, 27))
+            assert not block.interferer_mhz[t, n:].any()
+            for gain in block.fading[t, :5 + 4 * n]:
+                np.testing.assert_array_equal(gain, rng.standard_normal(2))
+            assert not block.fading[t, 5 + 4 * n:].any()
 
     def test_interferer_count_in_range(self):
         cfg = ScenarioConfig(interferer_count_range=(1, 3), master_seed=3)
-        counts = {len(sample_positions(cfg, i).interferers)
-                  for i in range(300)}
+        block = draw_block(cfg, 0, 300)
+        counts = set((block.interferer_mhz > 0).sum(axis=1).tolist())
         assert counts == {1, 2, 3}
 
     def test_channel_index_valid(self):
         cfg = ScenarioConfig(master_seed=5)
-        for i in range(100):
-            s = sample_positions(cfg, i)
-            assert CHANNEL_INDEX_MIN <= s.channel_index <= CHANNEL_INDEX_MAX
-            assert s.carrier_freq_mhz == channel_frequency(s.channel_index)
+        block = draw_block(cfg, 0, 100)
+        interferers = block.interferer_mhz[block.interferer_mhz > 0]
+        drawn = np.concatenate([block.carrier_mhz, interferers])
+        assert set(drawn.tolist()) <= set(CARRIERS_MHZ)
 
     def test_relay_x_mean(self):
         # law of large numbers: mean of Uniform[0, 100] is 50
         cfg = ScenarioConfig(distance_m=100.0, master_seed=11)
-        xs = np.array([sample_positions(cfg, i).relay_positions[0].x
-                       for i in range(10_000)])
+        xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
         assert abs(xs.mean() - 50.0) < 1.5
 
     def test_relay_x_uniform_ks(self):
         cfg = ScenarioConfig(distance_m=100.0, master_seed=13)
-        xs = np.array([sample_positions(cfg, i).relay_positions[0].x
-                       for i in range(10_000)])
+        xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
         ks = stats.kstest(xs / 100.0, "uniform").statistic
         assert ks < 0.02
 
     def test_channel_index_frequencies(self):
         cfg = ScenarioConfig(master_seed=17)
-        ks = np.array([sample_positions(cfg, i).channel_index
-                       for i in range(16_000)])
-        for k in range(11, 27):
-            rel = np.mean(ks == k)
+        carriers = draw_block(cfg, 0, 16_000).carrier_mhz
+        for mhz in CARRIERS_MHZ:
+            rel = np.mean(carriers == mhz)
             assert abs(rel - 1 / 16) < 0.01
 
     def test_fading_reciprocal_on_payload_links(self):
-        cfg = ScenarioConfig(master_seed=23)
-        s = sample_positions(cfg, 4)
-        assert s.fading[("S", "D")] == s.fading[("D", "S")]
-        assert s.fading[("S", "R1")] == s.fading[("R1", "S")]
+        # without interference a link's SINR is its signal over noise, so
+        # one fading gain per pair gives equal SINRs in both directions
+        cfg = ScenarioConfig(master_seed=23,
+                             interferer_power_dbm=float("-inf"))
+        sinr = link_sinrs(draw_block(cfg, 4, 5), cfg)[0]
+        assert sinr[SD] == sinr[DS]
+        assert sinr[SR1] == sinr[R1S]
 
 
 class TestTrialStream:
@@ -148,11 +196,10 @@ class TestTrialStream:
         # underlying uniform draws are identical
         c1 = ScenarioConfig(distance_m=50.0, master_seed=31)
         c2 = ScenarioConfig(distance_m=100.0, master_seed=31)
-        s1 = sample_positions(c1, 2)
-        s2 = sample_positions(c2, 2)
-        assert s1.channel_index == s2.channel_index
-        assert s1.relay_positions[0].x * 2 == pytest.approx(
-            s2.relay_positions[0].x)
+        s1 = draw_block(c1, 2, 3)
+        s2 = draw_block(c2, 2, 3)
+        assert s1.carrier_mhz[0] == s2.carrier_mhz[0]
+        assert s1.node_xy[0, R1, 0] * 2 == pytest.approx(s2.node_xy[0, R1, 0])
 
 
 def test_config_is_frozen():

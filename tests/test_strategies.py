@@ -1,22 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relaysim.propagation import LinkPower, LinkSet
+from relaysim.propagation import DR1, DS, R1D, R1S, R2D, SD, SR1, SR2
 from relaysim.strategies import (
     ALL_STRATEGIES,
     StrategyKind,
     af_equivalent_snr,
-    evaluate_strategy,
     rate_af_beamform2,
     rate_af_single,
     rate_df_beamform2,
     rate_df_single,
     rate_direct,
-    rate_exchange_baseline,
+    rate_exchange,
     rate_twoway_af,
     rate_twoway_df,
+    strategy_rates,
     twoway_af_snrs,
 )
 
@@ -164,35 +165,33 @@ class TestTwoWayAf:
         assert a == pytest.approx(5e6 / (2e6 + 6), rel=1e-9)
 
     def test_rate_symmetric_point(self):
-        result = rate_twoway_af(10.0, 10.0)
-        assert result.spectral_efficiency == pytest.approx(
-            math.log2(131 / 31))
-        assert result.per_direction[0] == result.per_direction[1]
+        per_direction = rate_twoway_af(10.0, 10.0)
+        assert sum(per_direction) == pytest.approx(math.log2(131 / 31))
+        assert per_direction[0] == per_direction[1]
 
     def test_zero(self):
-        assert rate_twoway_af(0.0, 0.0).spectral_efficiency == 0.0
+        assert sum(rate_twoway_af(0.0, 0.0)) == 0.0
 
     @given(snr, snr)
     def test_sum_rate_symmetric_under_swap(self, a, b):
-        assert rate_twoway_af(a, b).spectral_efficiency == pytest.approx(
-            rate_twoway_af(b, a).spectral_efficiency)
+        assert sum(rate_twoway_af(a, b)) == pytest.approx(
+            sum(rate_twoway_af(b, a)))
 
     @given(snr, snr)
     def test_per_direction_sums(self, a, b):
-        r = rate_twoway_af(a, b)
-        assert r.spectral_efficiency == pytest.approx(sum(r.per_direction))
+        rate = strategy_rates(_sinrs(sr=a, dr=b), (StrategyKind.TWOWAY_AF,))
+        assert rate[0] == pytest.approx(sum(rate_twoway_af(a, b)))
 
 
 class TestTwoWayDf:
     def test_zero(self):
-        assert rate_twoway_df(0.0, 0.0).spectral_efficiency == 0.0
+        assert sum(rate_twoway_df(0.0, 0.0)) == 0.0
 
     def test_tie_decodes_a_first(self):
-        r = rate_twoway_df(10.0, 10.0)
-        a_to_b, b_to_a = r.per_direction
+        a_to_b, b_to_a = rate_twoway_df(10.0, 10.0)
         assert a_to_b == pytest.approx(0.5 * math.log2(21 / 11))
         assert b_to_a == pytest.approx(0.5 * math.log2(11))
-        assert r.spectral_efficiency == pytest.approx(2.19622, abs=1e-4)
+        assert a_to_b + b_to_a == pytest.approx(2.19622, abs=1e-4)
 
     def test_mac_rates_hit_sic_corner_point(self):
         # successive decoding achieves the MAC sum capacity
@@ -212,81 +211,80 @@ class TestTwoWayDf:
                                                       g_b_strong):
         # A is decoded first and its MAC rate binds in all cases below;
         # a stronger co-transmission from B lowers A's direction rate
-        first = rate_twoway_df(g_a, g_b_weak).per_direction[0]
-        worse = rate_twoway_df(g_a, g_b_strong).per_direction[0]
+        first = rate_twoway_df(g_a, g_b_weak)[0]
+        worse = rate_twoway_df(g_a, g_b_strong)[0]
         assert worse < first
 
     @given(snr, snr)
     def test_per_direction_sums(self, a, b):
-        r = rate_twoway_df(a, b)
-        assert r.spectral_efficiency == pytest.approx(sum(r.per_direction))
+        rate = strategy_rates(_sinrs(sr=a, dr=b), (StrategyKind.TWOWAY_DF,))
+        assert rate[0] == pytest.approx(sum(rate_twoway_df(a, b)))
 
 
-def _link_set(**sinrs):
-    """LinkSet with the given linear SINRs and unit noise."""
-    labels = {
-        "sd": ("S", "D"), "ds": ("D", "S"),
-        "sr": ("S", "R1"), "rd": ("R1", "D"),
-        "dr": ("D", "R1"), "rs": ("R1", "S"),
-    }
-    entries = {labels[k]: LinkPower(v, 0.0, 1.0) for k, v in sinrs.items()}
-    return LinkSet(entries)
+def _sinrs(sd=0.0, ds=0.0, sr=0.0, rd=0.0, dr=0.0, rs=0.0, sr2=0.0,
+           r2d=0.0):
+    """One trial's directed payload SINRs in link_sinrs column order."""
+    sinr = np.zeros(8)
+    sinr[[SD, DS, SR1, R1D, DR1, R1S, SR2, R2D]] = (sd, ds, sr, rd, dr, rs,
+                                                     sr2, r2d)
+    return sinr
+
+
+_EXCHANGES = (
+    (StrategyKind.DIRECT_EXCHANGE, rate_direct, (SD, DS)),
+    (StrategyKind.UNI_AF_EXCHANGE, rate_af_single,
+     (SD, SR1, R1D, DS, DR1, R1S)),
+    (StrategyKind.UNI_DF_EXCHANGE, rate_df_single,
+     (SD, SR1, R1D, DS, DR1, R1S)),
+)
+
+
+def _rate(kind, sinr):
+    return strategy_rates(sinr, (kind,))[0]
 
 
 class TestExchangeBaselines:
     def test_direct_exchange_symmetric(self):
-        links = _link_set(sd=3.0, ds=3.0)
-        r = rate_exchange_baseline(StrategyKind.DIRECT_EXCHANGE, links)
-        assert r.spectral_efficiency == pytest.approx(2.0)
+        sinr = _sinrs(sd=3.0, ds=3.0)
+        assert _rate(StrategyKind.DIRECT_EXCHANGE, sinr) == \
+            pytest.approx(2.0)
 
     def test_all_zero(self):
-        links = _link_set(sd=0.0, ds=0.0, sr=0.0, rd=0.0, dr=0.0, rs=0.0)
-        for kind in (StrategyKind.DIRECT_EXCHANGE,
-                     StrategyKind.UNI_AF_EXCHANGE,
-                     StrategyKind.UNI_DF_EXCHANGE):
-            assert rate_exchange_baseline(kind, links) \
-                .spectral_efficiency == 0.0
+        for kind, _, _ in _EXCHANGES:
+            assert _rate(kind, _sinrs()) == 0.0
 
     def test_uni_af_exchange_symmetric(self):
-        links = _link_set(sd=1.0, ds=1.0, sr=3.0, rd=3.0, dr=3.0, rs=3.0)
-        r = rate_exchange_baseline(StrategyKind.UNI_AF_EXCHANGE, links)
+        sinr = _sinrs(sd=1.0, ds=1.0, sr=3.0, rd=3.0, dr=3.0, rs=3.0)
         # each direction: (1/4)*log2(1 + 1 + 9/7); quarter-slot version of
         # the one-way AF capacity
-        assert r.spectral_efficiency == pytest.approx(
+        assert _rate(StrategyKind.UNI_AF_EXCHANGE, sinr) == pytest.approx(
             0.5 * math.log2(23 / 7))
 
     def test_uni_df_exchange_uses_min(self):
-        links = _link_set(sd=1.0, ds=1.0, sr=15.0, rd=2.0, dr=15.0, rs=2.0)
-        r = rate_exchange_baseline(StrategyKind.UNI_DF_EXCHANGE, links)
-        assert r.spectral_efficiency == pytest.approx(
+        sinr = _sinrs(sd=1.0, ds=1.0, sr=15.0, rd=2.0, dr=15.0, rs=2.0)
+        assert _rate(StrategyKind.UNI_DF_EXCHANGE, sinr) == pytest.approx(
             2 * 0.25 * math.log2(4.0))
 
-    def test_rejects_non_exchange_kind(self):
-        with pytest.raises(ValueError):
-            rate_exchange_baseline(StrategyKind.DIRECT, _link_set(sd=1.0))
-
     def test_per_direction_sums(self):
-        links = _link_set(sd=2.0, ds=1.0, sr=5.0, rd=4.0, dr=3.0, rs=6.0)
-        for kind in (StrategyKind.DIRECT_EXCHANGE,
-                     StrategyKind.UNI_AF_EXCHANGE,
-                     StrategyKind.UNI_DF_EXCHANGE):
-            r = rate_exchange_baseline(kind, links)
-            assert r.spectral_efficiency == pytest.approx(
-                sum(r.per_direction))
+        sinr = _sinrs(sd=2.0, ds=1.0, sr=5.0, rd=4.0, dr=3.0, rs=6.0)
+        for kind, one_way, columns in _EXCHANGES:
+            forward, reverse = rate_exchange(one_way, *sinr[list(columns)])
+            assert _rate(kind, sinr) == pytest.approx(forward + reverse)
 
 
 class TestEvaluateStrategy:
     def test_every_kind_evaluates(self):
-        links = _link_set(sd=2.0, ds=1.5, sr=5.0, rd=4.0, dr=3.0, rs=6.0)
-        full = LinkSet(dict(links.entries))
-        full.entries[("S", "R2")] = LinkPower(2.0, 0.0, 1.0)
-        full.entries[("R2", "D")] = LinkPower(3.0, 0.0, 1.0)
-        for kind in ALL_STRATEGIES:
-            r = evaluate_strategy(kind, full)
-            assert r.strategy == kind
-            assert r.spectral_efficiency >= 0.0
-            if kind.is_exchange:
-                assert r.per_direction is not None
+        sinr = _sinrs(sd=2.0, ds=1.5, sr=5.0, rd=4.0, dr=3.0, rs=6.0,
+                      sr2=2.0, r2d=3.0)
+        rates = strategy_rates(sinr, ALL_STRATEGIES)
+        assert rates.shape == (len(ALL_STRATEGIES),)
+        assert np.all(rates >= 0.0)
+        # a block of trials gives each trial's rates
+        block = np.stack([sinr, 2.0 * sinr, np.zeros(8)])
+        table = strategy_rates(block, ALL_STRATEGIES)
+        for row, trial in zip(table, block):
+            np.testing.assert_array_equal(
+                row, strategy_rates(trial, ALL_STRATEGIES))
 
     def test_negative_sinr_rejected(self):
         with pytest.raises(ValueError):
@@ -295,3 +293,8 @@ class TestEvaluateStrategy:
             rate_df_beamform2(1.0, 1.0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             rate_twoway_df(-1.0, 1.0)
+        with pytest.raises(ValueError, match="nan"):
+            rate_direct(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError):
+            strategy_rates(np.stack([_sinrs(), _sinrs(sd=-1.0)]),
+                           (StrategyKind.DIRECT,))
