@@ -10,7 +10,7 @@ Run:
 
 import argparse
 
-from relaysim import ScenarioConfig, StrategyKind, SweepSpec, run_sweep
+from relaysim import ScenarioConfig, StrategyKind, run_sweep
 
 STRATEGIES = (
     StrategyKind.DIRECT,
@@ -23,13 +23,8 @@ DISTANCES = tuple(float(L) for L in range(10, 101, 10))
 
 
 def sweep(blocked, trials):
-    spec = SweepSpec(
-        base_config=ScenarioConfig(master_seed=1, direct_blocked=blocked),
-        distances_m=DISTANCES,
-        strategies=STRATEGIES,
-        trials_per_point=trials,
-    )
-    return run_sweep(spec)
+    return run_sweep(ScenarioConfig(seed=1, blocked_direct=blocked),
+                     DISTANCES, trials, STRATEGIES)
 
 
 def print_table(results, title):

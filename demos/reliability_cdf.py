@@ -28,8 +28,8 @@ def main():
                         help="block the direct link")
     args = parser.parse_args()
 
-    config = ScenarioConfig(distance_m=70.0, master_seed=7,
-                            direct_blocked=args.blocked)
+    config = ScenarioConfig(distance_m=70.0, seed=7,
+                            blocked_direct=args.blocked)
     cdfs = run_cdf(config, args.trials, STRATEGIES)
 
     print(f"{'strategy':>16} {'p10':>8} {'p50':>8} {'p90':>8} "

@@ -4,17 +4,12 @@ in a smart-grid neighborhood area network."""
 from .montecarlo import (
     EmpiricalCdf,
     SummaryStats,
-    SweepSpec,
     percentile,
     run_cdf,
     run_point,
     run_sweep,
 )
-from .propagation import (
-    draw_fading,
-    link_sinrs,
-    path_loss_db,
-)
+from .propagation import link_sinrs, path_loss_db
 from .scenario import (
     ScenarioConfig,
     TrialBlock,
@@ -46,12 +41,10 @@ __all__ = [
     "ScenarioConfig",
     "StrategyKind",
     "SummaryStats",
-    "SweepSpec",
     "TrialBlock",
     "af_equivalent_snr",
     "channel_frequency",
     "draw_block",
-    "draw_fading",
     "link_sinrs",
     "path_loss_db",
     "percentile",

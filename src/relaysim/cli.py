@@ -17,12 +17,11 @@ import sys
 import tempfile
 from dataclasses import dataclass, field, fields
 
-from .montecarlo import SweepSpec, run_cdf, run_sweep
+from .montecarlo import run_cdf, run_sweep
 from .scenario import ScenarioConfig
 from .strategies import ALL_STRATEGIES, StrategyKind
 
 _MODES = ("sweep", "cdf")
-_SCENARIO = ScenarioConfig()
 # Largest sweep grid accepted, so that a mistyped lstep fails at once
 # instead of building a huge grid.
 MAX_SWEEP_POINTS = 100_000
@@ -61,47 +60,42 @@ def _parse_strategies(text: str) -> tuple[StrategyKind, ...]:
             from None
 
 
-def _setting(default, parse, flag=None, help=None):
-    """A setting: its default, the parser for its file and flag text, and
-    its command-line flag if it has one."""
+def _setting(default, flag=None, help=None, parse=None):
+    """A setting: its default, its command-line flag if it has one, and
+    the parser for its file and flag text if its default's type does not
+    imply one."""
     return field(default=default,
                  metadata={"parse": parse, "flag": flag, "help": help})
 
 
 @dataclass(frozen=True)
-class Settings:
-    """Fully resolved run settings (scenario + experiment + output).
+class Settings(ScenarioConfig):
+    """Fully resolved run settings: a ScenarioConfig plus the experiment
+    and its output.
 
-    The only declaration of each setting: config-file keys, flags and
-    `--dump-config` are derived from these fields, in this order. Parsers
-    reject text that names no value; `__post_init__` checks the values.
+    Each scenario setting is declared once, in ScenarioConfig; the three
+    with a flag are re-declared here only to attach it. Config-file keys,
+    flags and `--dump-config` are derived from the fields, in field order
+    (the scenario's first). Parsers reject text that names no value;
+    `__post_init__` checks the values.
     """
 
-    mode: str = _setting("sweep", _parse_mode, "--mode", "sweep or cdf")
     distance_m: float = _setting(
-        _SCENARIO.distance_m, float, "--distance",
+        ScenarioConfig.distance_m, "--distance",
         "end-to-end distance in meters (cdf mode only)")
-    lmin: float = _setting(10.0, float, "--lmin")
-    lmax: float = _setting(100.0, float, "--lmax")
-    lstep: float = _setting(10.0, float, "--lstep")
-    trials: int = _setting(10_000, int, "--trials")
-    seed: int = _setting(_SCENARIO.master_seed, int, "--seed")
     blocked_direct: bool = _setting(
-        _SCENARIO.direct_blocked, _parse_bool, "--blocked-direct")
+        ScenarioConfig.blocked_direct, "--blocked-direct")
+    seed: int = _setting(ScenarioConfig.seed, "--seed")
+    mode: str = _setting("sweep", "--mode", "sweep or cdf", _parse_mode)
+    lmin: float = _setting(10.0, "--lmin")
+    lmax: float = _setting(100.0, "--lmax")
+    lstep: float = _setting(10.0, "--lstep")
+    trials: int = _setting(10_000, "--trials")
     strategies: tuple[StrategyKind, ...] = _setting(
-        ALL_STRATEGIES, _parse_strategies, "--strategies",
-        "comma-separated strategy names")
-    tx_power_dbm: float = _setting(_SCENARIO.tx_power_dbm, float)
-    interferer_power_dbm: float = _setting(
-        _SCENARIO.interferer_power_dbm, float)
-    antenna_gain_db: float = _setting(_SCENARIO.antenna_gain_db, float)
-    noise_power_dbm: float = _setting(_SCENARIO.noise_power_dbm, float)
-    path_loss_coeff_db_per_decade: float = _setting(
-        _SCENARIO.path_loss_coeff_db_per_decade, float)
-    interferer_min: int = _setting(_SCENARIO.interferer_count_range[0], int)
-    interferer_max: int = _setting(_SCENARIO.interferer_count_range[1], int)
-    workers: int = _setting(1, int, "--workers")
-    out: str = _setting("", str, "--out", "output CSV path")
+        ALL_STRATEGIES, "--strategies", "comma-separated strategy names",
+        _parse_strategies)
+    workers: int = _setting(1, "--workers")
+    out: str = _setting("", "--out", "output CSV path")
 
     def __post_init__(self):
         for name in ("trials", "workers"):
@@ -110,6 +104,8 @@ class Settings:
         for name in ("lmin", "lmax"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not self.lmin > 0:
+            raise ValueError("lmin must be positive")
         if not self.lstep > 0:
             raise ValueError("lstep must be positive")
         if self.lmin > self.lmax:
@@ -117,20 +113,7 @@ class Settings:
         if not self._sweep_steps() < MAX_SWEEP_POINTS:
             raise ValueError(f"lstep {self.lstep!r} makes more than "
                              f"{MAX_SWEEP_POINTS} sweep points")
-        self.scenario_config()  # surfaces scenario invariant violations
-
-    def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            distance_m=self.distance_m,
-            tx_power_dbm=self.tx_power_dbm,
-            interferer_power_dbm=self.interferer_power_dbm,
-            antenna_gain_db=self.antenna_gain_db,
-            noise_power_dbm=self.noise_power_dbm,
-            path_loss_coeff_db_per_decade=self.path_loss_coeff_db_per_decade,
-            direct_blocked=self.blocked_direct,
-            interferer_count_range=(self.interferer_min, self.interferer_max),
-            master_seed=self.seed,
-        )
+        super().__post_init__()
 
     def _sweep_steps(self) -> float:
         """Steps of lstep from lmin to lmax (1e-9 m slack); inf when lstep
@@ -144,8 +127,14 @@ class Settings:
                      for k in range(math.floor(self._sweep_steps()) + 1))
 
 
+def _parser(f):
+    """The parser of a setting: its own, else its default's type."""
+    parse = f.metadata.get("parse") or type(f.default)
+    return _parse_bool if parse is bool else parse
+
+
 # Config-file key -> parser, derived from the settings table.
-_PARSERS = {f.name: f.metadata["parse"] for f in fields(Settings)}
+_PARSERS = {f.name: _parser(f) for f in fields(Settings)}
 
 
 def _parse(key: str, text: str, where: str = ""):
@@ -198,10 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo simulator for cooperative relaying "
                     "strategies in a smart-grid NAN.")
     for f in fields(Settings):
-        if f.metadata["flag"]:
+        if f.metadata.get("flag"):
             # A switch stores "true", which still goes through the parser.
             switch = ({"action": "store_const", "const": "true"}
-                      if f.metadata["parse"] is _parse_bool else {})
+                      if _PARSERS[f.name] is _parse_bool else {})
             p.add_argument(f.metadata["flag"], dest=f.name,
                            help=f.metadata["help"], **switch)
     p.add_argument("--config", help="key = value config file")
@@ -264,16 +253,11 @@ def format_cdf_csv(cdfs) -> str:
 def run(settings: Settings) -> str:
     """Execute the configured experiment and return the CSV text."""
     if settings.mode == "sweep":
-        spec = SweepSpec(
-            base_config=settings.scenario_config(),
-            distances_m=settings.sweep_distances(),
-            strategies=settings.strategies,
-            trials_per_point=settings.trials,
-        )
-        return format_sweep_csv(run_sweep(spec, workers=settings.workers))
-    cdfs = run_cdf(settings.scenario_config(), settings.trials,
-                   settings.strategies, workers=settings.workers)
-    return format_cdf_csv(cdfs)
+        return format_sweep_csv(run_sweep(
+            settings, settings.sweep_distances(), settings.trials,
+            settings.strategies, settings.workers))
+    return format_cdf_csv(run_cdf(settings, settings.trials,
+                                  settings.strategies, settings.workers))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,27 +28,6 @@ BLOCK_TRIALS = 64
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    base_config: ScenarioConfig
-    distances_m: tuple[float, ...]
-    strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
-    trials_per_point: int = 10_000
-
-    def __post_init__(self):
-        if not self.distances_m:
-            raise ValueError("distances_m must be non-empty")
-        if any(d <= 0 for d in self.distances_m):
-            raise ValueError("all distances must be positive")
-        if any(b <= a for a, b in zip(self.distances_m,
-                                      self.distances_m[1:])):
-            raise ValueError("distances must be strictly increasing")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
-        if not self.strategies:
-            raise ValueError("at least one strategy is required")
-
-
-@dataclass(frozen=True)
 class EmpiricalCdf:
     sorted_samples: np.ndarray
 
@@ -121,6 +100,8 @@ def run_point(config: ScenarioConfig, trials: int,
     kinds = tuple(strategies)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not kinds:
+        raise ValueError("at least one strategy is required")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or trials < 2 * workers:
         table = _run_range(config, 0, trials, kinds)
@@ -137,14 +118,21 @@ def run_point(config: ScenarioConfig, trials: int,
     return {kind: table[:, j] for j, kind in enumerate(kinds)}
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1,
+def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
+              trials: int,
+              strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
+              workers: int = 1,
               ) -> dict[tuple[StrategyKind, float], SummaryStats]:
-    """Summary statistics per (strategy, distance) over the sweep grid."""
+    """Summary statistics per (strategy, distance): run_point at each of
+    the distances, which replace config.distance_m."""
+    if not distances_m:
+        raise ValueError("distances_m must be non-empty")
+    if any(b <= a for a, b in zip(distances_m, distances_m[1:])):
+        raise ValueError("distances must be strictly increasing")
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
-    for distance in spec.distances_m:
-        config = replace(spec.base_config, distance_m=distance)
-        per_kind = run_point(config, spec.trials_per_point,
-                             spec.strategies, workers)
+    for distance in distances_m:
+        per_kind = run_point(replace(config, distance_m=distance), trials,
+                             strategies, workers)
         for kind, samples in per_kind.items():
             results[(kind, distance)] = SummaryStats.from_samples(samples)
     return results

@@ -61,17 +61,11 @@ def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float = 28.0):
         + coeff_db_per_decade * (np.log(d) / _LN10) - 28.0
 
 
-def draw_fading(rng: np.random.Generator) -> complex:
-    """Circularly-symmetric complex Gaussian gain with E|h|^2 = 1."""
-    re, im = rng.standard_normal(2)
-    return complex(re * _SQRT_HALF, im * _SQRT_HALF)
-
-
 def received_mw(power_dbm, gain_db, path_loss, normals):
     """Received power in mW of a link: transmit power plus antenna gains
-    minus path loss, times |h|^2 of its fading gain h, which draw_fading
-    would make from the standard-normal pair (re, im) on the last axis of
-    `normals`."""
+    minus path loss, times |h|^2 of its Rayleigh gain
+    h = (re + j*im) / sqrt(2), E|h|^2 = 1, from the standard-normal pair
+    (re, im) on the last axis of `normals`."""
     h = np.hypot(normals[..., 0] * _SQRT_HALF, normals[..., 1] * _SQRT_HALF)
     return dbm_to_mw(power_dbm + gain_db - path_loss) * (h * h)
 
@@ -106,7 +100,7 @@ def link_sinrs(block: "TrialBlock", config: "ScenarioConfig") -> np.ndarray:
                       config.path_loss_coeff_db_per_decade)
     signal = received_mw(config.tx_power_dbm, 2.0 * config.antenna_gain_db,
                          pl, block.fading[:, :len(PAYLOAD_PAIRS)])
-    if config.direct_blocked:
+    if config.blocked_direct:
         signal[:, PAYLOAD_PAIRS.index((S, D))] = 0.0
     noise = dbm_to_mw(config.noise_power_dbm)
     return signal[:, _LINK_PAIR] / (interference_mw(block, config)[:, _LINK_RX]

@@ -4,7 +4,7 @@ One trial of the simulator places a source at the origin, a destination
 at (L, 0), two relays and a handful of co-band interferers uniformly in
 the box [0, L] x [-L/2, L/2], picks a random ZigBee channel, and draws
 an independent Rayleigh fading gain for every link. Everything is derived
-deterministically from (master_seed, trial_index); draw_block is the one
+deterministically from (seed, trial_index); draw_block is the one
 place that fixes the order of the draws.
 """
 
@@ -37,15 +37,15 @@ def channel_frequency(k: int) -> float:
     return 2405.0 + 5.0 * (k - CHANNEL_INDEX_MIN)
 
 
-def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
+def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     """Independent random stream for one trial.
 
     The mixing function is part of the reproducibility contract:
-    PCG64 seeded with SeedSequence(entropy=master_seed,
+    PCG64 seeded with SeedSequence(entropy=seed,
     spawn_key=(trial_index,)). Any parallel schedule that assigns whole
     trials to workers reproduces the sequential results bit for bit.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -57,7 +57,8 @@ class ScenarioConfig:
     0 dBm transmit power, 2.5 dB antenna gain per antenna, -110 dBm noise
     (absolute, so no bandwidth enters), ITU indoor path loss at
     28 dB/decade, and 1 to 3 interferers at 3 dBm. interferer_power_dbm
-    may be -inf to disable interference entirely.
+    may be -inf to disable interference entirely. The field names are the
+    config-file keys of the command line.
     """
 
     distance_m: float = 70.0
@@ -66,18 +67,17 @@ class ScenarioConfig:
     antenna_gain_db: float = 2.5
     noise_power_dbm: float = -110.0
     path_loss_coeff_db_per_decade: float = 28.0
-    direct_blocked: bool = False
-    interferer_count_range: tuple[int, int] = (1, 3)
-    master_seed: int = 0
+    blocked_direct: bool = False
+    interferer_min: int = 1
+    interferer_max: int = 3
+    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.distance_m) and self.distance_m > 0):
             raise ValueError("distance_m must be positive and finite")
-        lo, hi = self.interferer_count_range
-        if lo < 0 or lo > hi:
-            raise ValueError(
-                "interferer_count_range must satisfy 0 <= min <= max"
-            )
+        if not 0 <= self.interferer_min <= self.interferer_max:
+            raise ValueError("interferer_min and interferer_max must satisfy "
+                             "0 <= interferer_min <= interferer_max")
         for name in ("tx_power_dbm", "antenna_gain_db", "noise_power_dbm",
                      "path_loss_coeff_db_per_decade"):
             if not math.isfinite(getattr(self, name)):
@@ -87,10 +87,8 @@ class ScenarioConfig:
             raise ValueError("interferer_power_dbm must be finite or -inf")
         if self.path_loss_coeff_db_per_decade <= 0:
             raise ValueError("path_loss_coeff_db_per_decade must be > 0")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
-
-
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,9 @@ class TrialBlock:
     """The draws of consecutive trials, one row per trial.
 
     Channel draws are stored as carrier frequencies. Interferer arrays
-    have interferer_count_range[1] columns; a trial that drew fewer
-    interferers has padding in the rest: carrier 0 and zero fading, so it
-    adds no interference. `fading` holds the standard-normal pair
+    have interferer_max columns; a trial that drew fewer interferers has
+    padding in the rest: carrier 0 and zero fading, so it adds no
+    interference. `fading` holds the standard-normal pair
     (re, im) behind each link's complex gain: the PAYLOAD_PAIRS first,
     then, per interferer, its links to S, D, R1 and R2.
     """
@@ -126,14 +124,14 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
     """
     trials = stop - start
     L = config.distance_m
-    lo, hi = config.interferer_count_range
+    lo, hi = config.interferer_min, config.interferer_max
     carrier_mhz = np.empty(trials)
     node_xy = np.zeros((trials, 4, 2))
     interferer_xy = np.zeros((trials, hi, 2))
     interferer_mhz = np.zeros((trials, hi))
     fading = np.zeros((trials, len(PAYLOAD_PAIRS) + 4 * hi, 2))
     for t in range(trials):
-        rng = trial_stream(config.master_seed, start + t)
+        rng = trial_stream(config.seed, start + t)
         carrier_mhz[t] = channel_frequency(
             rng.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1))
         rng.random(out=node_xy[t, R1:])  # U[0, 1), mapped to the box below

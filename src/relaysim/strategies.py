@@ -31,13 +31,6 @@ class StrategyKind(Enum):
     UNI_AF_EXCHANGE = "uni_af_exchange"
     UNI_DF_EXCHANGE = "uni_df_exchange"
 
-    @property
-    def is_exchange(self) -> bool:
-        return self in (StrategyKind.TWOWAY_AF, StrategyKind.TWOWAY_DF,
-                        StrategyKind.DIRECT_EXCHANGE,
-                        StrategyKind.UNI_AF_EXCHANGE,
-                        StrategyKind.UNI_DF_EXCHANGE)
-
 
 ALL_STRATEGIES = tuple(StrategyKind)
 
@@ -176,11 +169,11 @@ def strategy_rates(sinr, kinds) -> np.ndarray:
 
     sinr holds the directed payload SINRs on its last axis, in link_sinrs
     column order; the result has one entry per kind on its last axis.
-    Exchange strategies report the sum of their two directions.
+    A formula that returns the rates of two directions reports their sum.
     """
     rates = []
     for kind in kinds:
         formula, columns = _FORMULAS[kind]
         rate = formula(*(sinr[..., c] for c in columns))
-        rates.append(rate[0] + rate[1] if kind.is_exchange else rate)
+        rates.append(rate[0] + rate[1] if isinstance(rate, tuple) else rate)
     return np.stack(rates, axis=-1)

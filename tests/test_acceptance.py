@@ -15,10 +15,10 @@ import pytest
 from scipy import stats as scipy_stats
 
 from relaysim.cli import main
-from relaysim.montecarlo import EmpiricalCdf, SweepSpec, percentile, \
-    run_cdf, run_sweep
-from relaysim.propagation import dbm_to_mw, draw_fading, mw_to_dbm, \
-    path_loss_db
+from relaysim.montecarlo import EmpiricalCdf, percentile, run_cdf, \
+    run_sweep
+from relaysim.propagation import dbm_to_mw, mw_to_dbm, path_loss_db, \
+    received_mw
 from relaysim.scenario import R1, ScenarioConfig, draw_block
 from relaysim.strategies import ALL_STRATEGIES, StrategyKind, \
     af_equivalent_snr, rate_af_single, rate_df_single, twoway_af_snrs
@@ -39,14 +39,9 @@ def _verdict(num, name, ok):
 def default_sweep():
     """10,000 trials per distance over 10..100 m with scenario defaults,
     all strategies paired on the same draws. Shared by criteria 3-6."""
-    spec = SweepSpec(
-        base_config=ScenarioConfig(master_seed=SEED),
-        distances_m=DISTANCES,
-        strategies=ALL_STRATEGIES,
-        trials_per_point=TRIALS,
-    )
     start = time.perf_counter()
-    results = run_sweep(spec)
+    results = run_sweep(ScenarioConfig(seed=SEED), DISTANCES, TRIALS,
+                        ALL_STRATEGIES)
     elapsed = time.perf_counter() - start
     return results, elapsed
 
@@ -125,7 +120,7 @@ def test_criterion_6_twoway_af_beats_unidirectional_exchange(default_sweep):
 
 
 def test_criterion_7_relaying_reliability_at_70m():
-    cdfs = run_cdf(ScenarioConfig(distance_m=70.0, master_seed=SEED),
+    cdfs = run_cdf(ScenarioConfig(distance_m=70.0, seed=SEED),
                    TRIALS, (StrategyKind.DIRECT, StrategyKind.AF_SINGLE,
                             StrategyKind.DF_SINGLE))
 
@@ -169,12 +164,12 @@ def test_criterion_9_invariant_suite():
 
     # fading |h|^2 ~ exponential(1)
     rng = np.random.default_rng(3)
-    h2 = np.abs([draw_fading(rng) for _ in range(1_000_000)]) ** 2
+    h2 = received_mw(0.0, 0.0, 0.0, rng.standard_normal((1_000_000, 2)))
     ok &= scipy_stats.kstest(h2, "expon").statistic < 0.005
     ok &= abs(h2.mean() - 1.0) < 0.005
 
     # relay-x marginal uniform on [0, L]
-    cfg = ScenarioConfig(distance_m=100.0, master_seed=4)
+    cfg = ScenarioConfig(distance_m=100.0, seed=4)
     xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
     ok &= scipy_stats.kstest(xs / 100.0, "uniform").statistic < 0.02
 

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import os
 
 import pytest
 
+from relaysim import cli
 from relaysim.cli import (
     CliError,
     Settings,
@@ -11,6 +13,7 @@ from relaysim.cli import (
     parse_config_file,
     resolve_settings,
 )
+from relaysim.scenario import ScenarioConfig
 from relaysim.strategies import StrategyKind
 
 
@@ -102,6 +105,20 @@ class TestValidation:
         with pytest.raises(CliError, match="bad value for trials"):
             resolve_settings(["--trials", "abc"])
 
+    def test_bad_seed_names_seed(self):
+        with pytest.raises(CliError, match="^seed must fit in 64"):
+            resolve_settings(["--seed", "-1"])
+
+    def test_bad_interferer_counts_name_keys(self, tmp_path):
+        path = _write(tmp_path, "interferer_min = 5\ninterferer_max = 2\n")
+        with pytest.raises(CliError,
+                           match="^interferer_min and interferer_max must"):
+            resolve_settings(["--config", path])
+
+    def test_nonpositive_lmin_named(self):
+        with pytest.raises(CliError, match="^lmin must be positive"):
+            resolve_settings(["--lmin", "-5"])
+
     def test_bandwidth_key_removed(self, tmp_path):
         path = _write(tmp_path, "bandwidth_hz = 2e6\n")
         with pytest.raises(CliError, match="unknown key 'bandwidth_hz'"):
@@ -117,6 +134,37 @@ class TestValidation:
         grid = Settings(lmin=0.1, lstep=3.3, lmax=16500.1).sweep_distances()
         assert len(grid) == 5001
         assert grid[-1] == 16500.1
+
+
+class TestSettingsSurface:
+    """The settable values: deriving keys and flags from the settings
+    table must not drop or add one."""
+
+    KEYS = {"distance_m", "tx_power_dbm", "interferer_power_dbm",
+            "antenna_gain_db", "noise_power_dbm",
+            "path_loss_coeff_db_per_decade", "blocked_direct",
+            "interferer_min", "interferer_max", "seed", "mode", "lmin",
+            "lmax", "lstep", "trials", "strategies", "workers", "out"}
+    FLAGS = {"--distance", "--blocked-direct", "--seed", "--mode", "--lmin",
+             "--lmax", "--lstep", "--trials", "--strategies", "--workers",
+             "--out"}
+
+    def test_config_keys(self):
+        keys = [line.partition(" = ")[0]
+                for line in dump_config(Settings()).splitlines()]
+        assert len(keys) == len(self.KEYS) == 18
+        assert set(keys) == self.KEYS
+
+    def test_flags(self):
+        options = {s for action in cli._build_parser()._actions
+                   for s in action.option_strings}
+        assert len(self.FLAGS) == 11
+        assert options == self.FLAGS | {"-h", "--help", "--config",
+                                        "--dump-config"}
+
+    def test_every_scenario_field_is_a_key(self):
+        assert {f.name for f in dataclasses.fields(ScenarioConfig)} \
+            <= self.KEYS
 
 
 class TestDumpConfig:

@@ -6,7 +6,6 @@ from relaysim import montecarlo
 from relaysim.montecarlo import (
     EmpiricalCdf,
     SummaryStats,
-    SweepSpec,
     percentile,
     run_cdf,
     run_point,
@@ -83,42 +82,25 @@ class TestSummaryStats:
         assert s.spread >= 0.0
 
 
-class TestSweepSpec:
-    def test_rejects_bad_distances(self):
-        cfg = ScenarioConfig()
-        with pytest.raises(ValueError):
-            SweepSpec(cfg, ())
-        with pytest.raises(ValueError):
-            SweepSpec(cfg, (10.0, 10.0))
-        with pytest.raises(ValueError):
-            SweepSpec(cfg, (20.0, 10.0))
-        with pytest.raises(ValueError):
-            SweepSpec(cfg, (-5.0, 10.0))
-
-    def test_rejects_bad_trials(self):
-        with pytest.raises(ValueError):
-            SweepSpec(ScenarioConfig(), (10.0,), trials_per_point=0)
-
-
 class TestRunTrial:
     """Per-trial results of run_point."""
 
     def test_deterministic(self):
-        cfg = ScenarioConfig(distance_m=50.0, master_seed=77)
+        cfg = ScenarioConfig(distance_m=50.0, seed=77)
         a, b = run_point(cfg, 4), run_point(cfg, 4)
         for kind in ALL_STRATEGIES:
             assert a[kind][3] == b[kind][3]
 
     def test_blocked_direct_zeroes_direct(self):
-        cfg = ScenarioConfig(distance_m=50.0, direct_blocked=True,
-                             master_seed=5)
+        cfg = ScenarioConfig(distance_m=50.0, blocked_direct=True,
+                             seed=5)
         rates = run_point(cfg, 50, (StrategyKind.DIRECT,
                                     StrategyKind.DIRECT_EXCHANGE))
         assert np.all(rates[StrategyKind.DIRECT] == 0.0)
         assert np.all(rates[StrategyKind.DIRECT_EXCHANGE] == 0.0)
 
     def test_all_rates_nonnegative(self):
-        cfg = ScenarioConfig(distance_m=70.0, master_seed=6)
+        cfg = ScenarioConfig(distance_m=70.0, seed=6)
         for v in run_point(cfg, 100).values():
             assert np.all(v >= 0.0) and np.all(np.isfinite(v))
 
@@ -126,14 +108,14 @@ class TestRunTrial:
         # interference disabled, |h| = 1, L = 10 m: SNR 47.38 dB, so
         # direct rate log2(1 + 10^4.738) ~ 15.74 bits/s/Hz
         cfg = ScenarioConfig(distance_m=10.0,
-                             interferer_count_range=(0, 0))
+                             interferer_min=0, interferer_max=0)
         sinr = link_sinrs(_unit_fading_block(10.0), cfg)
         rates = strategy_rates(sinr, (StrategyKind.DIRECT,))
         assert rates[0, 0] == pytest.approx(15.74, abs=0.05)
 
     def test_shared_link_set_across_strategies(self):
         # evaluating a single strategy must match the paired evaluation
-        cfg = ScenarioConfig(distance_m=70.0, master_seed=8)
+        cfg = ScenarioConfig(distance_m=70.0, seed=8)
         paired = run_point(cfg, 12, ALL_STRATEGIES)
         for kind in ALL_STRATEGIES:
             alone = run_point(cfg, 12, (kind,))
@@ -142,7 +124,7 @@ class TestRunTrial:
 
 class TestRunPoint:
     def test_first_half_identical_when_doubling_trials(self):
-        cfg = ScenarioConfig(distance_m=60.0, master_seed=21)
+        cfg = ScenarioConfig(distance_m=60.0, seed=21)
         kinds = (StrategyKind.DIRECT, StrategyKind.AF_SINGLE)
         short = run_point(cfg, 50, kinds)
         long = run_point(cfg, 100, kinds)
@@ -150,8 +132,8 @@ class TestRunPoint:
             np.testing.assert_array_equal(short[kind], long[kind][:50])
 
     def test_block_boundaries_do_not_change_results(self):
-        cfg = ScenarioConfig(distance_m=60.0, master_seed=24,
-                             interferer_count_range=(0, 4))
+        cfg = ScenarioConfig(distance_m=60.0, seed=24,
+                             interferer_min=0, interferer_max=4)
         n = 2 * montecarlo.BLOCK_TRIALS + 7
         whole = montecarlo._run_range(cfg, 0, n, ALL_STRATEGIES)
         cuts = [0, 5, montecarlo.BLOCK_TRIALS + 3, n]
@@ -160,7 +142,7 @@ class TestRunPoint:
         np.testing.assert_array_equal(whole, np.vstack(pieces))
 
     def test_worker_count_invariance(self):
-        cfg = ScenarioConfig(distance_m=60.0, master_seed=22)
+        cfg = ScenarioConfig(distance_m=60.0, seed=22)
         kinds = (StrategyKind.DIRECT, StrategyKind.TWOWAY_AF)
         serial = run_point(cfg, 40, kinds, workers=1)
         parallel = run_point(cfg, 40, kinds, workers=3)
@@ -185,7 +167,7 @@ class TestRunPoint:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        cfg = ScenarioConfig(distance_m=60.0, master_seed=23)
+        cfg = ScenarioConfig(distance_m=60.0, seed=23)
         kinds = (StrategyKind.DIRECT,)
         pooled = run_point(cfg, 12, kinds, workers=1000)
         assert sizes == [3]
@@ -195,26 +177,47 @@ class TestRunPoint:
 
 class TestRunSweep:
     def test_single_trial_stats_collapse(self):
-        spec = SweepSpec(ScenarioConfig(master_seed=1), (30.0,),
-                         (StrategyKind.DIRECT,), trials_per_point=1)
-        stats = run_sweep(spec)[(StrategyKind.DIRECT, 30.0)]
+        stats = run_sweep(ScenarioConfig(seed=1), (30.0,), 1,
+                          (StrategyKind.DIRECT,))[(StrategyKind.DIRECT, 30.0)]
         assert stats.mean == stats.p10 == stats.p50 == stats.p90
 
     def test_direct_mean_decreases_with_distance(self):
-        spec = SweepSpec(ScenarioConfig(master_seed=40),
-                         tuple(float(L) for L in range(10, 101, 10)),
-                         (StrategyKind.DIRECT,), trials_per_point=1500)
-        results = run_sweep(spec)
+        results = run_sweep(ScenarioConfig(seed=40),
+                            tuple(float(L) for L in range(10, 101, 10)),
+                            1500, (StrategyKind.DIRECT,))
         means = [results[(StrategyKind.DIRECT, float(L))].mean
                  for L in range(10, 101, 10)]
         assert all(b < a for a, b in zip(means, means[1:]))
 
+    def test_rejects_bad_distances(self):
+        cfg = ScenarioConfig()
+        with pytest.raises(ValueError):
+            run_sweep(cfg, (), 10)
+        with pytest.raises(ValueError):
+            run_sweep(cfg, (10.0, 10.0), 10)
+        with pytest.raises(ValueError):
+            run_sweep(cfg, (20.0, 10.0), 10)
+        with pytest.raises(ValueError):
+            run_sweep(cfg, (-5.0, 10.0), 10)
+
+    def test_rejects_bad_trials(self):
+        with pytest.raises(ValueError):
+            run_sweep(ScenarioConfig(), (10.0,), 0)
+
+    def test_rejects_empty_strategies(self):
+        with pytest.raises(ValueError, match="at least one strategy"):
+            run_sweep(ScenarioConfig(), (10.0,), 10, ())
+
 
 class TestRunCdf:
     def test_cdf_sizes(self):
-        cfg = ScenarioConfig(distance_m=70.0, master_seed=2)
+        cfg = ScenarioConfig(distance_m=70.0, seed=2)
         cdfs = run_cdf(cfg, 80, (StrategyKind.DIRECT,
                                  StrategyKind.DF_SINGLE))
         for cdf in cdfs.values():
             assert cdf.n == 80
             assert np.all(np.diff(cdf.sorted_samples) >= 0)
+
+    def test_rejects_empty_strategies(self):
+        with pytest.raises(ValueError, match="at least one strategy"):
+            run_cdf(ScenarioConfig(), 10, ())

@@ -56,7 +56,7 @@ class TestConfigValidation:
         assert cfg.antenna_gain_db == 2.5
         assert cfg.noise_power_dbm == -110.0
         assert cfg.path_loss_coeff_db_per_decade == 28.0
-        assert cfg.interferer_count_range == (1, 3)
+        assert (cfg.interferer_min, cfg.interferer_max) == (1, 3)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError, match="distance_m"):
@@ -65,10 +65,10 @@ class TestConfigValidation:
             ScenarioConfig(distance_m=0.0)
 
     def test_rejects_bad_interferer_range(self):
-        with pytest.raises(ValueError, match="interferer_count_range"):
-            ScenarioConfig(interferer_count_range=(3, 1))
-        with pytest.raises(ValueError, match="interferer_count_range"):
-            ScenarioConfig(interferer_count_range=(-1, 2))
+        with pytest.raises(ValueError, match="interferer_min and"):
+            ScenarioConfig(interferer_min=3, interferer_max=1)
+        with pytest.raises(ValueError, match="interferer_min and"):
+            ScenarioConfig(interferer_min=-1, interferer_max=2)
 
     def test_rejects_nonfinite_power(self):
         with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ class TestConfigValidation:
 
 class TestSampling:
     def test_box_containment(self):
-        cfg = ScenarioConfig(distance_m=100.0, master_seed=7)
+        cfg = ScenarioConfig(distance_m=100.0, seed=7)
         block = draw_block(cfg, 0, 200)
         for t in range(200):
             for x, y in [*block.node_xy[t, [R1, R2]], *_drawn(block, t)]:
@@ -95,18 +95,18 @@ class TestSampling:
         assert tuple(block.node_xy[0, D]) == (80.0, 0.0)
 
     def test_determinism(self):
-        cfg = ScenarioConfig(distance_m=60.0, master_seed=99)
+        cfg = ScenarioConfig(distance_m=60.0, seed=99)
         a = draw_block(cfg, 17, 18)
         b = draw_block(cfg, 17, 18)
         assert _blocks_equal(a, b)
 
     def test_trials_differ(self):
-        cfg = ScenarioConfig(distance_m=60.0, master_seed=99)
+        cfg = ScenarioConfig(distance_m=60.0, seed=99)
         assert not _blocks_equal(draw_block(cfg, 0, 1), draw_block(cfg, 1, 2))
 
     def test_block_rows_match_single_trials(self):
         # a trial's draws do not depend on the block it is drawn in
-        cfg = ScenarioConfig(interferer_count_range=(0, 6), master_seed=19)
+        cfg = ScenarioConfig(interferer_min=0, interferer_max=6, seed=19)
         block = draw_block(cfg, 3, 11)
         for t in range(8):
             alone = draw_block(cfg, 3 + t, 4 + t)
@@ -116,12 +116,12 @@ class TestSampling:
 
     def test_draws_follow_contract_order(self):
         # reference: the contract's draws made one call at a time
-        cfg = ScenarioConfig(distance_m=30.0, interferer_count_range=(0, 4),
-                             master_seed=29)
+        cfg = ScenarioConfig(distance_m=30.0, interferer_min=0,
+                             interferer_max=4, seed=29)
         L = cfg.distance_m
         block = draw_block(cfg, 5, 45)
         for t in range(40):
-            rng = trial_stream(cfg.master_seed, 5 + t)
+            rng = trial_stream(cfg.seed, 5 + t)
             assert block.carrier_mhz[t] == channel_frequency(
                 rng.integers(11, 27))
             for relay in (R1, R2):
@@ -139,13 +139,13 @@ class TestSampling:
             assert not block.fading[t, 5 + 4 * n:].any()
 
     def test_interferer_count_in_range(self):
-        cfg = ScenarioConfig(interferer_count_range=(1, 3), master_seed=3)
+        cfg = ScenarioConfig(interferer_min=1, interferer_max=3, seed=3)
         block = draw_block(cfg, 0, 300)
         counts = set((block.interferer_mhz > 0).sum(axis=1).tolist())
         assert counts == {1, 2, 3}
 
     def test_channel_index_valid(self):
-        cfg = ScenarioConfig(master_seed=5)
+        cfg = ScenarioConfig(seed=5)
         block = draw_block(cfg, 0, 100)
         interferers = block.interferer_mhz[block.interferer_mhz > 0]
         drawn = np.concatenate([block.carrier_mhz, interferers])
@@ -153,18 +153,18 @@ class TestSampling:
 
     def test_relay_x_mean(self):
         # law of large numbers: mean of Uniform[0, 100] is 50
-        cfg = ScenarioConfig(distance_m=100.0, master_seed=11)
+        cfg = ScenarioConfig(distance_m=100.0, seed=11)
         xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
         assert abs(xs.mean() - 50.0) < 1.5
 
     def test_relay_x_uniform_ks(self):
-        cfg = ScenarioConfig(distance_m=100.0, master_seed=13)
+        cfg = ScenarioConfig(distance_m=100.0, seed=13)
         xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
         ks = stats.kstest(xs / 100.0, "uniform").statistic
         assert ks < 0.02
 
     def test_channel_index_frequencies(self):
-        cfg = ScenarioConfig(master_seed=17)
+        cfg = ScenarioConfig(seed=17)
         carriers = draw_block(cfg, 0, 16_000).carrier_mhz
         for mhz in CARRIERS_MHZ:
             rel = np.mean(carriers == mhz)
@@ -173,8 +173,7 @@ class TestSampling:
     def test_fading_reciprocal_on_payload_links(self):
         # without interference a link's SINR is its signal over noise, so
         # one fading gain per pair gives equal SINRs in both directions
-        cfg = ScenarioConfig(master_seed=23,
-                             interferer_power_dbm=float("-inf"))
+        cfg = ScenarioConfig(seed=23, interferer_power_dbm=float("-inf"))
         sinr = link_sinrs(draw_block(cfg, 4, 5), cfg)[0]
         assert sinr[SD] == sinr[DS]
         assert sinr[SR1] == sinr[R1S]
@@ -194,8 +193,8 @@ class TestTrialStream:
     def test_distance_change_keeps_unit_draws(self):
         # same seed/index at two distances scales the geometry, since the
         # underlying uniform draws are identical
-        c1 = ScenarioConfig(distance_m=50.0, master_seed=31)
-        c2 = ScenarioConfig(distance_m=100.0, master_seed=31)
+        c1 = ScenarioConfig(distance_m=50.0, seed=31)
+        c2 = ScenarioConfig(distance_m=100.0, seed=31)
         s1 = draw_block(c1, 2, 3)
         s2 = draw_block(c2, 2, 3)
         assert s1.carrier_mhz[0] == s2.carrier_mhz[0]
