@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
+from typing import Callable, TextIO
 
 from .montecarlo import run_cdf, run_sweep
 from .scenario import ScenarioConfig
@@ -25,6 +26,9 @@ _MODES = ("sweep", "cdf")
 # Largest sweep grid accepted, so that a mistyped lstep fails at once
 # instead of building a huge grid.
 MAX_SWEEP_POINTS = 100_000
+# cdf rows formatted per write: large enough that the write calls cost
+# little, small enough that their text stays a small part of the run.
+CDF_ROWS_PER_WRITE = 4096
 
 
 class CliError(Exception):
@@ -215,14 +219,15 @@ def resolve_settings(argv: list[str]) -> tuple[Settings, bool]:
     return settings, args.dump_config
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write to a temp file in the target directory, rename on success."""
+def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
+    """Call write(fh) on a temp file in the target directory; rename it
+    to path on success, delete it on any failure."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -241,23 +246,31 @@ def format_sweep_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_cdf_csv(cdfs) -> str:
-    lines = ["strategy,spectral_efficiency,cdf"]
+def format_cdf_csv(cdfs, fh: TextIO) -> None:
+    """Write the cdf CSV to fh, CDF_ROWS_PER_WRITE rows at a time, so the
+    text of all rows is never held at once."""
+    fh.write("strategy,spectral_efficiency,cdf\n")
     for kind in sorted(cdfs, key=lambda k: k.value):
-        cdf = cdfs[kind]
-        for i, value in enumerate(cdf.sorted_samples, start=1):
-            lines.append(f"{kind.value},{value:.6f},{i / cdf.n:.6f}")
-    return "\n".join(lines) + "\n"
+        name, samples = kind.value, cdfs[kind].sorted_samples.tolist()
+        n = len(samples)
+        for first in range(0, n, CDF_ROWS_PER_WRITE):
+            chunk = samples[first:first + CDF_ROWS_PER_WRITE]
+            fh.write("".join([
+                f"{name},{value:.6f},{i / n:.6f}\n"
+                for i, value in enumerate(chunk, start=first + 1)]))
 
 
-def run(settings: Settings) -> str:
-    """Execute the configured experiment and return the CSV text."""
+def run(settings: Settings) -> Callable[[TextIO], object]:
+    """Execute the configured experiment; return the function that writes
+    its CSV to a text file."""
     if settings.mode == "sweep":
-        return format_sweep_csv(run_sweep(
+        text = format_sweep_csv(run_sweep(
             settings, settings.sweep_distances(), settings.trials,
             settings.strategies, settings.workers))
-    return format_cdf_csv(run_cdf(settings, settings.trials,
-                                  settings.strategies, settings.workers))
+        return lambda fh: fh.write(text)
+    cdfs = run_cdf(settings, settings.trials, settings.strategies,
+                   settings.workers)
+    return lambda fh: format_cdf_csv(cdfs, fh)
 
 
 def main(argv: list[str] | None = None) -> int:

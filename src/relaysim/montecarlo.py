@@ -1,9 +1,12 @@
 """Monte Carlo engine: trials, distance sweeps, empirical CDFs.
 
-Trials are independent work items with per-trial derived random streams,
-so the engine may split them over any number of processes and still
-produce bit-identical results: outputs are keyed by trial index and
-reassembled in order before any aggregation.
+Every trial draws from its own derived random stream, so any contiguous
+range of trials can be evaluated anywhere and give the same bytes. A run
+(one point, a sweep or a CDF) opens at most one process pool. Its work
+items are ranges of whole BLOCK_TRIALS blocks of one distance point, a
+few per process across the whole grid; the results come back in item
+order and are reassembled by (distance, trial) before any aggregation,
+so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +29,9 @@ from .strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 # the sizes 16 to 1024, 64 gave the lowest peak RSS of a run in
 # bench/memory_probe.py at the benchmark's sizes.
 BLOCK_TRIALS = 64
+# Work items per pool process: several, so that processes finishing early
+# take over the rest, yet few, since each item costs a round trip.
+ITEMS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -89,32 +96,45 @@ def _run_range(config: ScenarioConfig, start: int, stop: int,
     return out
 
 
-def run_point(config: ScenarioConfig, trials: int,
-              strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
-              workers: int = 1) -> dict[StrategyKind, np.ndarray]:
-    """Per-trial spectral efficiencies at one distance, in trial order.
-
-    The result is independent of the worker count: chunks are reassembled
-    by trial index before returning. At most os.cpu_count() processes run.
-    """
-    kinds = tuple(strategies)
+def _tables(configs: Sequence[ScenarioConfig], trials: int,
+            kinds: tuple[StrategyKind, ...], workers: int,
+            ) -> Iterator[np.ndarray]:
+    """Each config's (trials, len(kinds)) table of trials 0..trials-1, in
+    config order. One pool serves all configs, capped at os.cpu_count()
+    and at the number of work items; a cap of one runs serially."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if not kinds:
         raise ValueError("at least one strategy is required")
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or trials < 2 * workers:
-        table = _run_range(config, 0, trials, kinds)
-    else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                _run_range,
-                [config] * workers,
-                bounds[:-1].tolist(), bounds[1:].tolist(),
-                [kinds] * workers,
-            ))
-        table = np.vstack(chunks)
+    blocks = -(-trials // BLOCK_TRIALS)
+    pieces = min(blocks, -(-ITEMS_PER_WORKER * workers // len(configs)))
+    step = -(-blocks // pieces) * BLOCK_TRIALS
+    starts = range(0, trials, step)
+    items = [(config, start, min(start + step, trials))
+             for config in configs for start in starts]
+    workers = min(workers, len(items))
+    if workers <= 1:
+        for config in configs:
+            yield _run_range(config, 0, trials, kinds)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(
+            _run_range, *zip(*items), repeat(kinds),
+            chunksize=max(1, len(items) // (ITEMS_PER_WORKER * workers)))
+        for _ in configs:
+            yield np.vstack([next(chunks) for _ in starts])
+
+
+def run_point(config: ScenarioConfig, trials: int,
+              strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
+              workers: int = 1) -> dict[StrategyKind, np.ndarray]:
+    """Per-trial spectral efficiencies at one distance, in trial order,
+    independent of the worker count."""
+    kinds = tuple(strategies)
+    (table,) = _tables((config,), trials, kinds, workers)
     return {kind: table[:, j] for j, kind in enumerate(kinds)}
 
 
@@ -123,18 +143,22 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
               strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
               workers: int = 1,
               ) -> dict[tuple[StrategyKind, float], SummaryStats]:
-    """Summary statistics per (strategy, distance): run_point at each of
-    the distances, which replace config.distance_m."""
+    """Summary statistics per (strategy, distance) over trials at each of
+    the distances, which replace config.distance_m. Each point is
+    aggregated as soon as its table is complete."""
     if not distances_m:
         raise ValueError("distances_m must be non-empty")
     if any(b <= a for a, b in zip(distances_m, distances_m[1:])):
         raise ValueError("distances must be strictly increasing")
+    kinds = tuple(strategies)
+    tables = _tables([replace(config, distance_m=d) for d in distances_m],
+                     trials, kinds, workers)
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
-    for distance in distances_m:
-        per_kind = run_point(replace(config, distance_m=distance), trials,
-                             strategies, workers)
-        for kind, samples in per_kind.items():
-            results[(kind, distance)] = SummaryStats.from_samples(samples)
+    # tables first: zip then runs the generator to its end, which shuts
+    # its pool down.
+    for table, distance in zip(tables, distances_m):
+        for j, kind in enumerate(kinds):
+            results[(kind, distance)] = SummaryStats.from_samples(table[:, j])
     return results
 
 

@@ -18,6 +18,29 @@ from relaysim.strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 from test_propagation import _unit_fading_block
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that maps in this process; the
+    list holds the size of each pool started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 class TestEmpiricalCdf:
     def test_basic(self):
         cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
@@ -149,30 +172,27 @@ class TestRunPoint:
         for kind in kinds:
             np.testing.assert_array_equal(serial[kind], parallel[kind])
 
-    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_size_capped_at_cpu_count(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         cfg = ScenarioConfig(distance_m=60.0, seed=23)
         kinds = (StrategyKind.DIRECT,)
-        pooled = run_point(cfg, 12, kinds, workers=1000)
-        assert sizes == [3]
+        # four blocks: enough work items for more than three processes
+        trials = 4 * montecarlo.BLOCK_TRIALS
+        pooled = run_point(cfg, trials, kinds, workers=1000)
+        assert pool_sizes == [3]
         np.testing.assert_array_equal(pooled[kinds[0]],
-                                      run_point(cfg, 12, kinds)[kinds[0]])
+                                      run_point(cfg, trials, kinds)[kinds[0]])
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda w: run_point(ScenarioConfig(), 10, workers=w),
+    lambda w: run_sweep(ScenarioConfig(), (10.0, 20.0), 10, workers=w),
+    lambda w: run_cdf(ScenarioConfig(), 10, workers=w),
+], ids=["run_point", "run_sweep", "run_cdf"])
+def test_rejects_nonpositive_workers(run, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run(workers)
 
 
 class TestRunSweep:
@@ -188,6 +208,26 @@ class TestRunSweep:
         means = [results[(StrategyKind.DIRECT, float(L))].mean
                  for L in range(10, 101, 10)]
         assert all(b < a for a, b in zip(means, means[1:]))
+
+    def test_one_pool_per_sweep(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = ScenarioConfig(seed=41)
+        distances = tuple(float(L) for L in range(10, 101, 2))
+        assert len(distances) == 46
+        pooled = run_sweep(cfg, distances, 3, workers=2)
+        assert pool_sizes == [2]
+        serial = run_sweep(cfg, distances, 3, workers=1)
+        assert pool_sizes == [2]
+        assert pooled == serial
+
+    @pytest.mark.parametrize(
+        "trials", [1, 2 * montecarlo.BLOCK_TRIALS + 7],
+        ids=["fewer_trials_than_workers", "point_split_across_items"])
+    def test_worker_count_invariance(self, trials):
+        cfg = ScenarioConfig(seed=42, interferer_min=0, interferer_max=4)
+        distances = (20.0, 45.0, 70.0)
+        assert (run_sweep(cfg, distances, trials, workers=2)
+                == run_sweep(cfg, distances, trials, workers=1))
 
     def test_rejects_bad_distances(self):
         cfg = ScenarioConfig()
