@@ -1,12 +1,16 @@
 """Monte Carlo engine: trials, distance sweeps, empirical CDFs.
 
 Every trial draws from its own derived random stream, so any contiguous
-range of trials can be evaluated anywhere and give the same bytes. A run
-(one point, a sweep or a CDF) opens at most one process pool. Its work
-items are ranges of whole BLOCK_TRIALS blocks of one distance point, a
-few per process across the whole grid; the results come back in item
-order and are reassembled by (distance, trial) before any aggregation,
-so results are bit-identical for any worker count.
+range of trials can be evaluated anywhere and give the same bytes. The
+draws do not depend on the distance (scenario.draw_block), and
+propagation.link_sinrs places them at each point. A run (one point, a
+sweep or a CDF) opens at most one process pool. Its work items are
+groups of distance points times ranges of whole BLOCK_TRIALS blocks, a
+few per process; an item draws each of its blocks once, for all of its
+distances, and a serial run is one item covering the whole grid. The
+results come back in item order and are reassembled by (distance,
+trial) before any aggregation, so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -83,17 +87,30 @@ class SummaryStats:
                    percentile(cdf, 90))
 
 
-def _run_range(config: ScenarioConfig, start: int, stop: int,
-               strategies: tuple[StrategyKind, ...]) -> np.ndarray:
-    """Trials [start, stop) as a (stop-start, n_strategies) array; all
-    strategies of a trial share its draw."""
-    out = np.empty((stop - start, len(strategies)))
-    for first in range(start, stop, BLOCK_TRIALS):
-        last = min(first + BLOCK_TRIALS, stop)
-        block = draw_block(config, first, last)
-        out[first - start:last - start] = strategy_rates(
-            link_sinrs(block, config), strategies)
-    return out
+def _item_tables(configs: Sequence[ScenarioConfig], start: int, stop: int,
+                 kinds: tuple[StrategyKind, ...]) -> Iterator[np.ndarray]:
+    """Each config's (stop-start, len(kinds)) table of trials [start,
+    stop), in config order; all strategies of a trial share its draw.
+
+    Draws do not depend on the distance, so each block is drawn once and
+    kept for all configs; a one-config item draws each block as it
+    evaluates it and keeps nothing."""
+    blocks = (draw_block(configs[0], first, min(first + BLOCK_TRIALS, stop))
+              for first in range(start, stop, BLOCK_TRIALS))
+    if len(configs) > 1:
+        blocks = list(blocks)
+    for config in configs:
+        out = np.empty((stop - start, len(kinds)))
+        for first, block in zip(range(0, stop - start, BLOCK_TRIALS), blocks):
+            out[first:first + BLOCK_TRIALS] = strategy_rates(
+                link_sinrs(block, config), kinds)
+        yield out
+
+
+def _run_item(configs: Sequence[ScenarioConfig], start: int, stop: int,
+              kinds: tuple[StrategyKind, ...]) -> list[np.ndarray]:
+    """_item_tables as a list: one pool work item."""
+    return list(_item_tables(configs, start, stop, kinds))
 
 
 def _tables(configs: Sequence[ScenarioConfig], trials: int,
@@ -101,7 +118,14 @@ def _tables(configs: Sequence[ScenarioConfig], trials: int,
             ) -> Iterator[np.ndarray]:
     """Each config's (trials, len(kinds)) table of trials 0..trials-1, in
     config order. One pool serves all configs, capped at os.cpu_count()
-    and at the number of work items; a cap of one runs serially."""
+    and at the number of work items; a cap of one runs serially, as one
+    item.
+
+    A work item is a contiguous group of configs times a range of whole
+    BLOCK_TRIALS blocks. Trials are split first, into up to
+    ITEMS_PER_WORKER items per process; configs are grouped only when
+    there are fewer block ranges than that, since each group draws its
+    blocks anew."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -109,23 +133,27 @@ def _tables(configs: Sequence[ScenarioConfig], trials: int,
     if not kinds:
         raise ValueError("at least one strategy is required")
     workers = min(workers, os.cpu_count() or 1)
+    wanted = ITEMS_PER_WORKER * workers
     blocks = -(-trials // BLOCK_TRIALS)
-    pieces = min(blocks, -(-ITEMS_PER_WORKER * workers // len(configs)))
-    step = -(-blocks // pieces) * BLOCK_TRIALS
+    step = -(-blocks // min(blocks, wanted)) * BLOCK_TRIALS
     starts = range(0, trials, step)
-    items = [(config, start, min(start + step, trials))
-             for config in configs for start in starts]
+    n_groups = min(len(configs), -(-wanted // len(starts)))
+    size = -(-len(configs) // n_groups)
+    groups = [configs[i:i + size] for i in range(0, len(configs), size)]
+    items = [(group, start, min(start + step, trials))
+             for group in groups for start in starts]
     workers = min(workers, len(items))
     if workers <= 1:
-        for config in configs:
-            yield _run_range(config, 0, trials, kinds)
+        yield from _item_tables(configs, 0, trials, kinds)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(
-            _run_range, *zip(*items), repeat(kinds),
+            _run_item, *zip(*items), repeat(kinds),
             chunksize=max(1, len(items) // (ITEMS_PER_WORKER * workers)))
-        for _ in configs:
-            yield np.vstack([next(chunks) for _ in starts])
+        for _ in groups:
+            parts = [next(chunks) for _ in starts]
+            for tables in zip(*parts):
+                yield np.vstack(tables)
 
 
 def run_point(config: ScenarioConfig, trials: int,

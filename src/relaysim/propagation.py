@@ -1,5 +1,6 @@
-"""Per-link SINRs of a block of trials: ITU indoor path loss, Rayleigh
-fading, dB conversions and interference aggregation."""
+"""Per-link SINRs of a block of trials at a distance: placement of the
+block's position variates, ITU indoor path loss, Rayleigh fading, dB
+conversions and interference aggregation."""
 
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ if TYPE_CHECKING:
 # Log-distance path loss diverges as d -> 0; relays can be drawn arbitrarily
 # close to an endpoint, so distances are clamped to this floor.
 MIN_DISTANCE_M = 1.0
-
-_SQRT_HALF = math.sqrt(0.5)
 
 # Logarithms go through np.log alone: each further numpy math routine a
 # run calls (np.log10, np.log2, ...) pages in about 64 KiB more of numpy's
@@ -61,13 +60,29 @@ def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float = 28.0):
         + coeff_db_per_decade * (np.log(d) / _LN10) - 28.0
 
 
-def received_mw(power_dbm, gain_db, path_loss, normals):
+def received_mw(power_dbm, gain_db, path_loss, fading):
     """Received power in mW of a link: transmit power plus antenna gains
-    minus path loss, times |h|^2 of its Rayleigh gain
-    h = (re + j*im) / sqrt(2), E|h|^2 = 1, from the standard-normal pair
-    (re, im) on the last axis of `normals`."""
-    h = np.hypot(normals[..., 0] * _SQRT_HALF, normals[..., 1] * _SQRT_HALF)
-    return dbm_to_mw(power_dbm + gain_db - path_loss) * (h * h)
+    minus path loss, times the power gain |h|^2 of its Rayleigh fading."""
+    return dbm_to_mw(power_dbm + gain_db - path_loss) * fading
+
+
+def place(u: np.ndarray, distance_m: float) -> np.ndarray:
+    """Positions in m of U[0, 1) variate pairs (..., 2) in the box
+    [0, L] x [-L/2, L/2]. Generator.uniform(low, high) computes
+    low + (high - low) * u, so this matches drawing each coordinate with
+    it, bit for bit."""
+    xy = u * distance_m
+    xy[..., 1] -= distance_m / 2
+    return xy
+
+
+def node_positions(block: "TrialBlock", distance_m: float) -> np.ndarray:
+    """S, D, R1, R2 positions in m of each trial, shape (B, 4, 2): S at
+    the origin, D at (L, 0), the relays placed in the box."""
+    xy = np.zeros((len(block.carrier_mhz), 4, 2))
+    xy[:, R1:] = place(block.relay_u, distance_m)
+    xy[:, D, 0] = distance_m
+    return xy
 
 
 def interference_mw(block: "TrialBlock",
@@ -80,21 +95,25 @@ def interference_mw(block: "TrialBlock",
     Gaussian noise.
     """
     trials, n = block.interferer_mhz.shape
-    offset = block.interferer_xy[:, :, None] - block.node_xy[:, None]
+    L = config.distance_m
+    offset = place(block.interferer_u, L)[:, :, None] \
+        - node_positions(block, L)[:, None]
     pl = path_loss_db(block.carrier_mhz[:, None, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
-    normals = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4, 2)
+    fading = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4)
     power = received_mw(config.interferer_power_dbm,
-                        2.0 * config.antenna_gain_db, pl, normals)
+                        2.0 * config.antenna_gain_db, pl, fading)
     cochannel = block.interferer_mhz == block.carrier_mhz[:, None]
     return np.where(cochannel[..., None], power, 0.0).sum(axis=1)
 
 
 def link_sinrs(block: "TrialBlock", config: "ScenarioConfig") -> np.ndarray:
-    """Linear SINR of every directed payload link, shape (B, 8) with
-    columns SD, DS, SR1, R1D, DR1, R1S, SR2, R2D."""
-    offset = block.node_xy[:, _PAIR_TX] - block.node_xy[:, _PAIR_RX]
+    """Linear SINR of every directed payload link of the block placed at
+    config.distance_m, shape (B, 8) with columns SD, DS, SR1, R1D, DR1,
+    R1S, SR2, R2D."""
+    node_xy = node_positions(block, config.distance_m)
+    offset = node_xy[:, _PAIR_TX] - node_xy[:, _PAIR_RX]
     pl = path_loss_db(block.carrier_mhz[:, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)

@@ -6,6 +6,11 @@ the box [0, L] x [-L/2, L/2], picks a random ZigBee channel, and draws
 an independent Rayleigh fading gain for every link. Everything is derived
 deterministically from (seed, trial_index); draw_block is the one
 place that fixes the order of the draws.
+
+The draws do not depend on L: a block holds each position as its U[0, 1)
+variates and each link's fading as its power gain, and
+propagation.link_sinrs places the block in the box of a given distance.
+So one block serves every distance point of a sweep.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ import numpy as np
 CHANNEL_INDEX_MIN = 11
 CHANNEL_INDEX_MAX = 26
 
-# Node rows of TrialBlock.node_xy.
+# Node rows of the positions propagation.link_sinrs places.
 S, D, R1, R2 = range(4)
 
 # Node pairs whose links carry payload for at least one strategy, in the
 # order their fading is drawn. Fading is reciprocal within a trial (TDD on
 # a single carrier), so one gain per pair serves both directions.
 PAYLOAD_PAIRS = ((S, D), (S, R1), (R1, D), (S, R2), (R2, D))
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def channel_frequency(k: int) -> float:
@@ -34,7 +41,20 @@ def channel_frequency(k: int) -> float:
             f"channel index {k} outside valid range "
             f"[{CHANNEL_INDEX_MIN}, {CHANNEL_INDEX_MAX}]"
         )
+    return _center_mhz(k)
+
+
+def _center_mhz(k):
+    """channel_frequency without the range check; k may be an array."""
     return 2405.0 + 5.0 * (k - CHANNEL_INDEX_MIN)
+
+
+def power_gain(normals):
+    """|h|^2 of the Rayleigh gain h = (re + j*im) / sqrt(2), E|h|^2 = 1,
+    from the standard-normal pairs (re, im) on the last axis of
+    `normals`."""
+    h = np.hypot(normals[..., 0] * _SQRT_HALF, normals[..., 1] * _SQRT_HALF)
+    return h * h
 
 
 def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
@@ -93,59 +113,60 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TrialBlock:
-    """The draws of consecutive trials, one row per trial.
+    """The draws of consecutive trials, one row per trial, independent of
+    the distance L.
 
+    Positions are the U[0, 1) variates of their (x, y) coordinates.
     Channel draws are stored as carrier frequencies. Interferer arrays
     have interferer_max columns; a trial that drew fewer interferers has
     padding in the rest: carrier 0 and zero fading, so it adds no
-    interference. `fading` holds the standard-normal pair
-    (re, im) behind each link's complex gain: the PAYLOAD_PAIRS first,
-    then, per interferer, its links to S, D, R1 and R2.
+    interference. `fading` holds each link's power gain |h|^2: the
+    PAYLOAD_PAIRS first, then, per interferer, its links to S, D, R1 and
+    R2.
     """
 
     carrier_mhz: np.ndarray     # (B,) the link's channel
-    node_xy: np.ndarray         # (B, 4, 2) S, D, R1, R2 positions in m
-    interferer_xy: np.ndarray   # (B, n, 2) positions in m
+    relay_u: np.ndarray         # (B, 2, 2) R1, R2 position variates
+    interferer_u: np.ndarray    # (B, n, 2) position variates
     interferer_mhz: np.ndarray  # (B, n) each interferer's channel
-    fading: np.ndarray          # (B, 5 + 4n, 2)
+    fading: np.ndarray          # (B, 5 + 4n) power gains
 
 
 def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
-    """Draw trials [start, stop) of an experiment.
+    """Draw trials [start, stop) of an experiment; config.distance_m is
+    not used.
 
     Each trial reads only its own trial_stream, in this order, which is
     part of the reproducibility contract:
       1. channel index k ~ U{11..26}
-      2. relay 1 and relay 2 positions, x ~ U[0, L], y ~ U[-L/2, L/2]
+      2. relay 1 and relay 2 positions, x and y each ~ U[0, 1)
       3. interferer count ~ U{min..max}, then per interferer: x, y, channel
       4. fading normals for the payload pairs, then the interferer links
     Two relays are always drawn so that every strategy sees the same
     channel realization (paired comparisons).
     """
     trials = stop - start
-    L = config.distance_m
     lo, hi = config.interferer_min, config.interferer_max
-    carrier_mhz = np.empty(trials)
-    node_xy = np.zeros((trials, 4, 2))
-    interferer_xy = np.zeros((trials, hi, 2))
-    interferer_mhz = np.zeros((trials, hi))
-    fading = np.zeros((trials, len(PAYLOAD_PAIRS) + 4 * hi, 2))
+    channels = (CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1)
+    # Channel indices are converted to MHz once per block. They are kept
+    # in float arrays, which hold them exactly, and stored as Python ints:
+    # an integer array, or numpy integers stored into a float array,
+    # pages in 64-190 KiB more of numpy's code, which shows in the peak
+    # memory of a run.
+    carrier_k = np.empty(trials)
+    relay_u = np.empty((trials, 2, 2))
+    interferer_u = np.zeros((trials, hi, 2))
+    interferer_k = np.zeros((trials, hi))  # 0: padding
+    normals = np.zeros((trials, len(PAYLOAD_PAIRS) + 4 * hi, 2))
     for t in range(trials):
         rng = trial_stream(config.seed, start + t)
-        carrier_mhz[t] = channel_frequency(
-            rng.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1))
-        rng.random(out=node_xy[t, R1:])  # U[0, 1), mapped to the box below
+        carrier_k[t] = int(rng.integers(*channels))
+        rng.random(out=relay_u[t])
         n = rng.integers(lo, hi + 1)
         for j in range(n):
-            rng.random(out=interferer_xy[t, j])
-            interferer_mhz[t, j] = channel_frequency(
-                rng.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1))
-        rng.standard_normal(out=fading[t, :len(PAYLOAD_PAIRS) + 4 * n])
-    # Generator.uniform(low, high) computes low + (high - low) * u, so
-    # this matches drawing each coordinate with it, bit for bit.
-    for xy in (node_xy[:, R1:], interferer_xy):
-        xy *= L
-        xy[..., 1] -= L / 2
-    node_xy[:, D, 0] = L
-    return TrialBlock(carrier_mhz, node_xy, interferer_xy, interferer_mhz,
-                      fading)
+            rng.random(out=interferer_u[t, j])
+            interferer_k[t, j] = int(rng.integers(*channels))
+        rng.standard_normal(out=normals[t, :len(PAYLOAD_PAIRS) + 4 * n])
+    interferer_mhz = np.where(interferer_k > 0, _center_mhz(interferer_k), 0.0)
+    return TrialBlock(_center_mhz(carrier_k), relay_u, interferer_u,
+                      interferer_mhz, power_gain(normals))

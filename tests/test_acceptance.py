@@ -17,9 +17,9 @@ from scipy import stats as scipy_stats
 from relaysim.cli import main
 from relaysim.montecarlo import EmpiricalCdf, percentile, run_cdf, \
     run_sweep
-from relaysim.propagation import dbm_to_mw, mw_to_dbm, path_loss_db, \
-    received_mw
-from relaysim.scenario import R1, ScenarioConfig, draw_block
+from relaysim.propagation import dbm_to_mw, mw_to_dbm, node_positions, \
+    path_loss_db
+from relaysim.scenario import R1, ScenarioConfig, draw_block, power_gain
 from relaysim.strategies import ALL_STRATEGIES, StrategyKind, \
     af_equivalent_snr, rate_af_single, rate_df_single, twoway_af_snrs
 
@@ -164,13 +164,13 @@ def test_criterion_9_invariant_suite():
 
     # fading |h|^2 ~ exponential(1)
     rng = np.random.default_rng(3)
-    h2 = received_mw(0.0, 0.0, 0.0, rng.standard_normal((1_000_000, 2)))
+    h2 = power_gain(rng.standard_normal((1_000_000, 2)))
     ok &= scipy_stats.kstest(h2, "expon").statistic < 0.005
     ok &= abs(h2.mean() - 1.0) < 0.005
 
     # relay-x marginal uniform on [0, L]
     cfg = ScenarioConfig(distance_m=100.0, seed=4)
-    xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
+    xs = node_positions(draw_block(cfg, 0, 10_000), 100.0)[:, R1, 0]
     ok &= scipy_stats.kstest(xs / 100.0, "uniform").statistic < 0.02
 
     # rate monotonicity spot grid

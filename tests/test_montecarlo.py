@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from relaysim.montecarlo import (
     run_sweep,
 )
 from relaysim.propagation import link_sinrs
-from relaysim.scenario import ScenarioConfig
+from relaysim.scenario import ScenarioConfig, draw_block
 from relaysim.strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 
 from test_propagation import _unit_fading_block
@@ -158,9 +160,9 @@ class TestRunPoint:
         cfg = ScenarioConfig(distance_m=60.0, seed=24,
                              interferer_min=0, interferer_max=4)
         n = 2 * montecarlo.BLOCK_TRIALS + 7
-        whole = montecarlo._run_range(cfg, 0, n, ALL_STRATEGIES)
+        (whole,) = montecarlo._run_item((cfg,), 0, n, ALL_STRATEGIES)
         cuts = [0, 5, montecarlo.BLOCK_TRIALS + 3, n]
-        pieces = [montecarlo._run_range(cfg, a, b, ALL_STRATEGIES)
+        pieces = [montecarlo._run_item((cfg,), a, b, ALL_STRATEGIES)[0]
                   for a, b in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(whole, np.vstack(pieces))
 
@@ -228,6 +230,36 @@ class TestRunSweep:
         distances = (20.0, 45.0, 70.0)
         assert (run_sweep(cfg, distances, trials, workers=2)
                 == run_sweep(cfg, distances, trials, workers=1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_match_run_point(self, workers):
+        # blocks drawn once per item give each point its own run's bytes
+        cfg = ScenarioConfig(seed=43, interferer_min=0, interferer_max=6)
+        distances = (15.0, 40.0, 85.0)
+        trials = 2 * montecarlo.BLOCK_TRIALS + 7
+        swept = run_sweep(cfg, distances, trials, workers=workers)
+        tables = montecarlo._tables(
+            [replace(cfg, distance_m=d) for d in distances], trials,
+            ALL_STRATEGIES, workers)
+        for d, table in zip(distances, tables):
+            alone = run_point(replace(cfg, distance_m=d), trials)
+            for j, kind in enumerate(ALL_STRATEGIES):
+                np.testing.assert_array_equal(table[:, j], alone[kind])
+                assert swept[(kind, d)] == \
+                    SummaryStats.from_samples(alone[kind])
+
+    def test_serial_sweep_draws_each_block_once(self, monkeypatch):
+        drawn = []
+
+        def counting(config, start, stop):
+            drawn.append((start, stop))
+            return draw_block(config, start, stop)
+
+        monkeypatch.setattr(montecarlo, "draw_block", counting)
+        b = montecarlo.BLOCK_TRIALS
+        run_sweep(ScenarioConfig(seed=44),
+                  tuple(float(L) for L in range(10, 101, 10)), 2 * b + 7)
+        assert drawn == [(0, b), (b, 2 * b), (2 * b, 2 * b + 7)]
 
     def test_rejects_bad_distances(self):
         cfg = ScenarioConfig()

@@ -22,6 +22,7 @@ from relaysim.scenario import (
     TrialBlock,
     channel_frequency,
     draw_block,
+    power_gain,
 )
 
 
@@ -69,36 +70,35 @@ class TestDbConversions:
 
 
 class TestFading:
-    """|h|^2 as received_mw makes it from a link's pair of normals: at a
-    0 dB budget the received power is |h|^2 itself."""
+    """|h|^2 as draw_block makes it from a link's pair of normals."""
 
     def test_unit_mean_square(self):
         rng = np.random.default_rng(0)
-        h2 = received_mw(0.0, 0.0, 0.0, rng.standard_normal((200_000, 2)))
+        h2 = power_gain(rng.standard_normal((200_000, 2)))
         assert abs(h2.mean() - 1.0) < 0.005
 
     def test_magnitude_squared_exponential(self):
         rng = np.random.default_rng(1)
-        h2 = received_mw(0.0, 0.0, 0.0, rng.standard_normal((1_000_000, 2)))
+        h2 = power_gain(rng.standard_normal((1_000_000, 2)))
         ks = stats.kstest(h2, "expon").statistic
         assert ks < 0.005
 
 
 def _unit_fading_block(L, interferers=()):
-    """A hand-built one-trial draw on channel 11 with |h| = 1 (to rounding)
-    on every link; interferers are (x, y, channel index) tuples."""
+    """A hand-built one-trial draw on channel 11 with |h| = 1 on every
+    link, to be placed at distance L: relays at (L/2, 0) and (L/2, 1);
+    interferers are (x, y, channel index) tuples, positions in m (all to
+    rounding)."""
     n = len(interferers)
-    fading = np.zeros((1, 5 + 4 * n, 2))
-    fading[..., 0] = math.sqrt(2.0)
     return TrialBlock(
         carrier_mhz=np.array([2405.0]),
-        node_xy=np.array([[(0.0, 0.0), (L, 0.0), (L / 2, 0.0),
-                           (L / 2, 1.0)]]),
-        interferer_xy=np.array([(x, y) for x, y, _ in interferers],
-                               dtype=float).reshape(1, n, 2),
+        relay_u=np.array([[(0.5, 0.5), (0.5, 0.5 + 1.0 / L)]]),
+        interferer_u=np.array([(x / L, y / L + 0.5)
+                               for x, y, _ in interferers],
+                              dtype=float).reshape(1, n, 2),
         interferer_mhz=np.array([channel_frequency(k)
                                  for *_, k in interferers]).reshape(1, n),
-        fading=fading,
+        fading=np.ones((1, 5 + 4 * n)),
     )
 
 
@@ -172,7 +172,7 @@ class TestLinkBudget:
         h = abs(complex(*(normals * math.sqrt(0.5))))
         expected = 0.0 + 5.0 - 67.62 + 20 * math.log10(h)
         assert dbm_to_mw(expected) == pytest.approx(
-            received_mw(0.0, 5.0, 67.62, normals), rel=1e-12)
+            received_mw(0.0, 5.0, 67.62, power_gain(normals)), rel=1e-12)
 
 
 class TestBuildLinkSet:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relaysim.propagation import DS, R1S, SD, SR1, link_sinrs
+from relaysim.propagation import DS, R1S, SD, SR1, link_sinrs, \
+    node_positions, place
 from relaysim.scenario import (
     CHANNEL_INDEX_MAX,
     CHANNEL_INDEX_MIN,
@@ -15,6 +16,7 @@ from relaysim.scenario import (
     ScenarioConfig,
     channel_frequency,
     draw_block,
+    power_gain,
     trial_stream,
 )
 
@@ -28,8 +30,8 @@ def _blocks_equal(a, b):
 
 
 def _drawn(block, t):
-    """Interferer positions trial t drew; padding has carrier 0."""
-    return block.interferer_xy[t][block.interferer_mhz[t] > 0]
+    """Interferer position variates trial t drew; padding has carrier 0."""
+    return block.interferer_u[t][block.interferer_mhz[t] > 0]
 
 
 class TestChannelFrequency:
@@ -83,16 +85,18 @@ class TestSampling:
     def test_box_containment(self):
         cfg = ScenarioConfig(distance_m=100.0, seed=7)
         block = draw_block(cfg, 0, 200)
+        nodes = node_positions(block, 100.0)
         for t in range(200):
-            for x, y in [*block.node_xy[t, [R1, R2]], *_drawn(block, t)]:
+            for x, y in [*nodes[t, [R1, R2]],
+                         *place(_drawn(block, t), 100.0)]:
                 assert 0.0 <= x <= 100.0
                 assert -50.0 <= y <= 50.0
 
     def test_endpoints_fixed(self):
         cfg = ScenarioConfig(distance_m=80.0)
-        block = draw_block(cfg, 0, 1)
-        assert tuple(block.node_xy[0, S]) == (0.0, 0.0)
-        assert tuple(block.node_xy[0, D]) == (80.0, 0.0)
+        nodes = node_positions(draw_block(cfg, 0, 1), 80.0)
+        assert tuple(nodes[0, S]) == (0.0, 0.0)
+        assert tuple(nodes[0, D]) == (80.0, 0.0)
 
     def test_determinism(self):
         cfg = ScenarioConfig(distance_m=60.0, seed=99)
@@ -120,22 +124,23 @@ class TestSampling:
                              interferer_max=4, seed=29)
         L = cfg.distance_m
         block = draw_block(cfg, 5, 45)
+        nodes = node_positions(block, L)
         for t in range(40):
             rng = trial_stream(cfg.seed, 5 + t)
             assert block.carrier_mhz[t] == channel_frequency(
                 rng.integers(11, 27))
             for relay in (R1, R2):
-                assert tuple(block.node_xy[t, relay]) == (
+                assert tuple(nodes[t, relay]) == (
                     rng.uniform(0.0, L), rng.uniform(-L / 2, L / 2))
             n = rng.integers(0, 5)
             for j in range(n):
-                assert tuple(block.interferer_xy[t, j]) == (
+                assert tuple(place(block.interferer_u[t, j], L)) == (
                     rng.uniform(0.0, L), rng.uniform(-L / 2, L / 2))
                 assert block.interferer_mhz[t, j] == channel_frequency(
                     rng.integers(11, 27))
             assert not block.interferer_mhz[t, n:].any()
             for gain in block.fading[t, :5 + 4 * n]:
-                np.testing.assert_array_equal(gain, rng.standard_normal(2))
+                assert gain == power_gain(rng.standard_normal(2))
             assert not block.fading[t, 5 + 4 * n:].any()
 
     def test_interferer_count_in_range(self):
@@ -154,12 +159,12 @@ class TestSampling:
     def test_relay_x_mean(self):
         # law of large numbers: mean of Uniform[0, 100] is 50
         cfg = ScenarioConfig(distance_m=100.0, seed=11)
-        xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
+        xs = node_positions(draw_block(cfg, 0, 10_000), 100.0)[:, R1, 0]
         assert abs(xs.mean() - 50.0) < 1.5
 
     def test_relay_x_uniform_ks(self):
         cfg = ScenarioConfig(distance_m=100.0, seed=13)
-        xs = draw_block(cfg, 0, 10_000).node_xy[:, R1, 0]
+        xs = node_positions(draw_block(cfg, 0, 10_000), 100.0)[:, R1, 0]
         ks = stats.kstest(xs / 100.0, "uniform").statistic
         assert ks < 0.02
 
@@ -191,14 +196,10 @@ class TestTrialStream:
         assert not np.array_equal(a, b)
 
     def test_distance_change_keeps_unit_draws(self):
-        # same seed/index at two distances scales the geometry, since the
-        # underlying uniform draws are identical
+        # the draws do not depend on the distance: link_sinrs places them
         c1 = ScenarioConfig(distance_m=50.0, seed=31)
         c2 = ScenarioConfig(distance_m=100.0, seed=31)
-        s1 = draw_block(c1, 2, 3)
-        s2 = draw_block(c2, 2, 3)
-        assert s1.carrier_mhz[0] == s2.carrier_mhz[0]
-        assert s1.node_xy[0, R1, 0] * 2 == pytest.approx(s2.node_xy[0, R1, 0])
+        assert _blocks_equal(draw_block(c1, 2, 3), draw_block(c2, 2, 3))
 
 
 def test_config_is_frozen():
