@@ -117,6 +117,11 @@ class Settings(ScenarioConfig):
         if not self._sweep_steps() < MAX_SWEEP_POINTS:
             raise ValueError(f"lstep {self.lstep!r} makes more than "
                              f"{MAX_SWEEP_POINTS} sweep points")
+        # sweep_distances rounds points to 1e-9 m after an error of a few
+        # float spacings at lmax; a finer step could merge two of them.
+        if not self.lstep > 2e-9 + 3 * math.ulp(self.lmax):
+            raise ValueError(f"lstep {self.lstep!r} is too fine for the "
+                             "sweep grid, whose points are rounded to 1e-9 m")
         super().__post_init__()
 
     def _sweep_steps(self) -> float:
@@ -166,6 +171,8 @@ def parse_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _PARSERS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = _parse(key, value.strip(), f"{path}:{lineno}: ")
     return values
 

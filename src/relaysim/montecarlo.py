@@ -5,12 +5,12 @@ range of trials can be evaluated anywhere and give the same bytes. The
 draws do not depend on the distance (scenario.draw_block), and
 propagation.link_sinrs places them at each point. A run (one point, a
 sweep or a CDF) opens at most one process pool. Its work items are
-groups of distance points times ranges of whole BLOCK_TRIALS blocks, a
-few per process; an item draws each of its blocks once, for all of its
-distances, and a serial run is one item covering the whole grid. The
-results come back in item order and are reassembled by (distance,
-trial) before any aggregation, so results are bit-identical for any
-worker count.
+ranges of whole BLOCK_TRIALS blocks over every distance of the run, a
+few per process; an item draws each of its blocks once, for all
+distances. A run of fewer than two blocks, and a serial run, is one item
+evaluated in this process. The results come back in item order and are
+stacked per distance, in trial order, before any aggregation, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -117,15 +117,13 @@ def _tables(configs: Sequence[ScenarioConfig], trials: int,
             kinds: tuple[StrategyKind, ...], workers: int,
             ) -> Iterator[np.ndarray]:
     """Each config's (trials, len(kinds)) table of trials 0..trials-1, in
-    config order. One pool serves all configs, capped at os.cpu_count()
-    and at the number of work items; a cap of one runs serially, as one
-    item.
+    config order.
 
-    A work item is a contiguous group of configs times a range of whole
-    BLOCK_TRIALS blocks. Trials are split first, into up to
-    ITEMS_PER_WORKER items per process; configs are grouped only when
-    there are fewer block ranges than that, since each group draws its
-    blocks anew."""
+    A work item is a range of whole BLOCK_TRIALS blocks over every
+    config, up to ITEMS_PER_WORKER items per process. One pool serves
+    them all, capped at os.cpu_count() and at the number of items; a cap
+    of one runs serially, as one item. The pool is shut down before the
+    first table is yielded."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -137,23 +135,16 @@ def _tables(configs: Sequence[ScenarioConfig], trials: int,
     blocks = -(-trials // BLOCK_TRIALS)
     step = -(-blocks // min(blocks, wanted)) * BLOCK_TRIALS
     starts = range(0, trials, step)
-    n_groups = min(len(configs), -(-wanted // len(starts)))
-    size = -(-len(configs) // n_groups)
-    groups = [configs[i:i + size] for i in range(0, len(configs), size)]
-    items = [(group, start, min(start + step, trials))
-             for group in groups for start in starts]
-    workers = min(workers, len(items))
+    workers = min(workers, len(starts))
     if workers <= 1:
         yield from _item_tables(configs, 0, trials, kinds)
         return
+    stops = [min(start + step, trials) for start in starts]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(
-            _run_item, *zip(*items), repeat(kinds),
-            chunksize=max(1, len(items) // (ITEMS_PER_WORKER * workers)))
-        for _ in groups:
-            parts = [next(chunks) for _ in starts]
-            for tables in zip(*parts):
-                yield np.vstack(tables)
+        parts = list(pool.map(_run_item, repeat(configs), starts, stops,
+                              repeat(kinds)))
+    for tables in zip(*parts):
+        yield np.vstack(tables)
 
 
 def run_point(config: ScenarioConfig, trials: int,
@@ -182,8 +173,6 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
     tables = _tables([replace(config, distance_m=d) for d in distances_m],
                      trials, kinds, workers)
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
-    # tables first: zip then runs the generator to its end, which shuts
-    # its pool down.
     for table, distance in zip(tables, distances_m):
         for j, kind in enumerate(kinds):
             results[(kind, distance)] = SummaryStats.from_samples(table[:, j])

@@ -64,7 +64,7 @@ def af_equivalent_snr(g1, g2):
 
 def rate_af_single(snr_sd, snr_sr, snr_rd):
     """Single-relay AF with MRC of direct and relayed copies."""
-    _check_nonneg(snr_sd, snr_sr, snr_rd)
+    _check_nonneg(snr_sd)  # af_equivalent_snr checks the relay hops
     return 0.5 * _lg(snr_sd + af_equivalent_snr(snr_sr, snr_rd))
 
 
@@ -78,7 +78,7 @@ def rate_df_single(snr_sd, snr_sr, snr_rd):
 def rate_af_beamform2(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d):
     """Two-relay AF with collaborative beamforming: the co-phased relay
     paths add in amplitude at the destination."""
-    _check_nonneg(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d)
+    _check_nonneg(snr_sd)  # af_equivalent_snr checks the relay hops
     amplitude = (np.sqrt(af_equivalent_snr(snr_sr1, snr_r1d))
                  + np.sqrt(af_equivalent_snr(snr_sr2, snr_r2d)))
     return 0.5 * _lg(snr_sd + amplitude * amplitude)

@@ -84,6 +84,11 @@ class TestValidation:
         with pytest.raises(CliError, match=r":2: bad value for mode"):
             resolve_settings(["--config", path])
 
+    def test_duplicate_key_reports_second_line(self, tmp_path):
+        path = _write(tmp_path, "trials = 5\nseed = 3\ntrials = 7\n")
+        with pytest.raises(CliError, match=r":3: duplicate key 'trials'$"):
+            resolve_settings(["--config", path])
+
     def test_duplicate_strategy_rejected(self):
         with pytest.raises(CliError, match="duplicate strategy"):
             resolve_settings(["--strategies", "direct,direct"])
@@ -129,6 +134,13 @@ class TestValidation:
     def test_sweep_grid_too_fine_names_lstep(self, argv):
         with pytest.raises(CliError, match="lstep .* sweep points"):
             resolve_settings(argv)
+
+    def test_sub_resolution_lstep_named(self):
+        # few enough points for the size check, but they round together
+        with pytest.raises(CliError, match="^lstep 1e-10 is too fine for "
+                                           "the sweep grid, whose points"):
+            resolve_settings(["--lmin", "10", "--lmax", "10.000001",
+                              "--lstep", "1e-10"])
 
     def test_sweep_grid_does_not_accumulate(self):
         grid = Settings(lmin=0.1, lstep=3.3, lmax=16500.1).sweep_distances()

@@ -216,11 +216,22 @@ class TestRunSweep:
         cfg = ScenarioConfig(seed=41)
         distances = tuple(float(L) for L in range(10, 101, 2))
         assert len(distances) == 46
-        pooled = run_sweep(cfg, distances, 3, workers=2)
+        trials = 2 * montecarlo.BLOCK_TRIALS + 7
+        pooled = run_sweep(cfg, distances, trials, workers=2)
         assert pool_sizes == [2]
-        serial = run_sweep(cfg, distances, 3, workers=1)
+        serial = run_sweep(cfg, distances, trials, workers=1)
         assert pool_sizes == [2]
         assert pooled == serial
+
+    def test_one_block_sweep_starts_no_pool(self, pool_sizes, monkeypatch):
+        # one block is one work item, however many distances it covers
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = ScenarioConfig(seed=41)
+        distances = tuple(float(L) for L in range(10, 101, 2))
+        assert len(distances) == 46
+        pooled = run_sweep(cfg, distances, 3, workers=2)
+        assert pool_sizes == []
+        assert pooled == run_sweep(cfg, distances, 3, workers=1)
 
     @pytest.mark.parametrize(
         "trials", [1, 2 * montecarlo.BLOCK_TRIALS + 7],
@@ -248,7 +259,10 @@ class TestRunSweep:
                 assert swept[(kind, d)] == \
                     SummaryStats.from_samples(alone[kind])
 
-    def test_serial_sweep_draws_each_block_once(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_draws_each_block_once(self, workers, pool_sizes,
+                                         monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         drawn = []
 
         def counting(config, start, stop):
@@ -258,7 +272,9 @@ class TestRunSweep:
         monkeypatch.setattr(montecarlo, "draw_block", counting)
         b = montecarlo.BLOCK_TRIALS
         run_sweep(ScenarioConfig(seed=44),
-                  tuple(float(L) for L in range(10, 101, 10)), 2 * b + 7)
+                  tuple(float(L) for L in range(10, 101, 10)), 2 * b + 7,
+                  workers=workers)
+        assert pool_sizes == ([] if workers == 1 else [2])
         assert drawn == [(0, b), (b, 2 * b), (2 * b, 2 * b + 7)]
 
     def test_rejects_bad_distances(self):

@@ -290,6 +290,10 @@ class TestEvaluateStrategy:
         with pytest.raises(ValueError):
             rate_af_single(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
+            rate_af_single(1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            rate_af_beamform2(1.0, 1.0, 1.0, 1.0, np.nan)
+        with pytest.raises(ValueError):
             rate_df_beamform2(1.0, 1.0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             rate_twoway_df(-1.0, 1.0)
