@@ -11,11 +11,11 @@ from .montecarlo import (
 )
 from .propagation import link_sinrs, path_loss_db
 from .scenario import (
+    RNG_CONTRACT,
     ScenarioConfig,
     TrialBlock,
     channel_frequency,
     draw_block,
-    trial_stream,
 )
 from .strategies import (
     ALL_STRATEGIES,
@@ -37,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_STRATEGIES",
+    "RNG_CONTRACT",
     "EmpiricalCdf",
     "ScenarioConfig",
     "StrategyKind",
@@ -60,6 +61,5 @@ __all__ = [
     "run_point",
     "run_sweep",
     "strategy_rates",
-    "trial_stream",
     "twoway_af_snrs",
 ]

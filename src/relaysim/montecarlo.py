@@ -1,16 +1,17 @@
 """Monte Carlo engine: trials, distance sweeps, empirical CDFs.
 
-Every trial draws from its own derived random stream, so any contiguous
-range of trials can be evaluated anywhere and give the same bytes. The
-draws do not depend on the distance (scenario.draw_block), and
-propagation.link_sinrs places them at each point. A run (one point, a
-sweep or a CDF) opens at most one process pool. Its work items are
-ranges of whole BLOCK_TRIALS blocks over every distance of the run, a
-few per process; an item draws each of its blocks once, for all
-distances. A run of fewer than two blocks, and a serial run, is one item
-evaluated in this process. The results come back in item order and are
-stacked per distance, in trial order, before any aggregation, so results
-are bit-identical for any worker count.
+Trials come in the fixed blocks of the RNG contract
+(scenario.BLOCK_TRIALS), each drawn from its own derived random stream,
+so any range of whole blocks can be evaluated anywhere and give the same
+bytes. The draws do not depend on the distance (scenario.draw_block),
+and propagation.link_sinrs places them at each point. A run (one point,
+a sweep or a CDF) opens at most one process pool. Its work items are
+ranges of whole blocks over every distance of the run, a few per
+process; an item draws each of its blocks once, for all distances. A run
+of fewer than two blocks, and a serial run, is one item evaluated in
+this process. The results come back in item order and are stacked per
+distance, in trial order, before any aggregation, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,21 +19,16 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .propagation import link_sinrs
-from .scenario import ScenarioConfig, draw_block
+from .scenario import BLOCK_TRIALS, ScenarioConfig, draw_block
 from .strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 
-# Trials drawn and evaluated together. Larger blocks spread numpy's
-# per-call cost over more trials but hold more temporaries at once; of
-# the sizes 16 to 1024, 64 gave the lowest peak RSS of a run in
-# bench/memory_probe.py at the benchmark's sizes.
-BLOCK_TRIALS = 64
 # Work items per pool process: several, so that processes finishing early
 # take over the rest, yet few, since each item costs a round trip.
 ITEMS_PER_WORKER = 4
@@ -85,6 +81,15 @@ class SummaryStats:
         return cls(float(np.mean(cdf.sorted_samples)),
                    percentile(cdf, 10), percentile(cdf, 50),
                    percentile(cdf, 90))
+
+
+def _points(config: ScenarioConfig,
+            distances_m: Sequence[float]) -> list[ScenarioConfig]:
+    """config's scenario at each distance as a plain ScenarioConfig, so
+    that a subclass's own fields and checks (cli.Settings) are neither
+    re-run per distance nor sent with every work item."""
+    values = {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
+    return [ScenarioConfig(**{**values, "distance_m": d}) for d in distances_m]
 
 
 def _item_tables(configs: Sequence[ScenarioConfig], start: int, stop: int,
@@ -153,7 +158,8 @@ def run_point(config: ScenarioConfig, trials: int,
     """Per-trial spectral efficiencies at one distance, in trial order,
     independent of the worker count."""
     kinds = tuple(strategies)
-    (table,) = _tables((config,), trials, kinds, workers)
+    (table,) = _tables(_points(config, (config.distance_m,)), trials, kinds,
+                       workers)
     return {kind: table[:, j] for j, kind in enumerate(kinds)}
 
 
@@ -170,8 +176,7 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
     if any(b <= a for a, b in zip(distances_m, distances_m[1:])):
         raise ValueError("distances must be strictly increasing")
     kinds = tuple(strategies)
-    tables = _tables([replace(config, distance_m=d) for d in distances_m],
-                     trials, kinds, workers)
+    tables = _tables(_points(config, distances_m), trials, kinds, workers)
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
     for table, distance in zip(tables, distances_m):
         for j, kind in enumerate(kinds):

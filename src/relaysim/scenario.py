@@ -4,8 +4,10 @@ One trial of the simulator places a source at the origin, a destination
 at (L, 0), two relays and a handful of co-band interferers uniformly in
 the box [0, L] x [-L/2, L/2], picks a random ZigBee channel, and draws
 an independent Rayleigh fading gain for every link. Everything is derived
-deterministically from (seed, trial_index); draw_block is the one
-place that fixes the order of the draws.
+deterministically from (seed, trial_index) under RNG_CONTRACT: trials
+come in fixed blocks of BLOCK_TRIALS, each block reads its own random
+stream, and draw_block is the one place that fixes the order of its
+draws.
 
 The draws do not depend on L: a block holds each position as its U[0, 1)
 variates and each link's fading as its power gain, and
@@ -22,6 +24,17 @@ import numpy as np
 
 CHANNEL_INDEX_MIN = 11
 CHANNEL_INDEX_MAX = 26
+
+# Trials per contract block: trial i is row i % BLOCK_TRIALS of block
+# i // BLOCK_TRIALS, and each block reads one stream, so a run builds one
+# generator per block, not per trial. Part of the reproducibility
+# contract, and the engine's block (montecarlo). Of 64 and 256, 256 ran
+# bench/run.py's cdf_w1 at 72k trials/s against 55k on a 2-vCPU host
+# (stream set-up and numpy's per-call cost are spread over more trials),
+# while both raised sweep_w1's peak RSS about as much (2.4% and 2.7%).
+BLOCK_TRIALS = 256
+RNG_CONTRACT = (f"v2: PCG64(SeedSequence(entropy=seed, spawn_key=(block,))) "
+                f"per block of {BLOCK_TRIALS} trials")
 
 # Node rows of the positions propagation.link_sinrs places.
 S, D, R1, R2 = range(4)
@@ -55,18 +68,6 @@ def power_gain(normals):
     `normals`."""
     h = np.hypot(normals[..., 0] * _SQRT_HALF, normals[..., 1] * _SQRT_HALF)
     return h * h
-
-
-def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent random stream for one trial.
-
-    The mixing function is part of the reproducibility contract:
-    PCG64 seeded with SeedSequence(entropy=seed,
-    spawn_key=(trial_index,)). Any parallel schedule that assigns whole
-    trials to workers reproduces the sequential results bit for bit.
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 @dataclass(frozen=True)
@@ -136,37 +137,53 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
     """Draw trials [start, stop) of an experiment; config.distance_m is
     not used.
 
-    Each trial reads only its own trial_stream, in this order, which is
-    part of the reproducibility contract:
-      1. channel index k ~ U{11..26}
-      2. relay 1 and relay 2 positions, x and y each ~ U[0, 1)
-      3. interferer count ~ U{min..max}, then per interferer: x, y, channel
-      4. fading normals for the payload pairs, then the interferer links
-    Two relays are always drawn so that every strategy sees the same
-    channel realization (paired comparisons).
+    The covering contract blocks are drawn whole and the rows of the
+    range sliced out, so a trial's row does not depend on the range it
+    is drawn in. Block b reads only the stream of RNG_CONTRACT keyed by
+    (config.seed, b), and makes these fixed-shape draws, in this order,
+    which is part of the reproducibility contract (B = BLOCK_TRIALS,
+    n = config.interferer_max):
+      1. B channel indices k ~ U{11..26}
+      2. (B, 2, 2) relay 1 and relay 2 position variates, each ~ U[0, 1)
+      3. B interferer counts ~ U{interferer_min..n}
+      4. (B, n, 2) interferer position variates ~ U[0, 1)
+      5. (B, n) interferer channel indices ~ U{11..26}
+      6. (B, 5 + 4n, 2) fading normals: the payload pairs, then per
+         interferer its links to S, D, R1 and R2
+    A trial's interferers beyond its count are padding: carrier 0 and
+    zero fading (their position variates are drawn but unused). Two
+    relays are always drawn so that every strategy sees the same channel
+    realization (paired comparisons).
     """
-    trials = stop - start
+    if not 0 <= start < stop:
+        raise ValueError(f"trial range [{start}, {stop}) is empty or "
+                         "negative")
     lo, hi = config.interferer_min, config.interferer_max
     channels = (CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1)
-    # Channel indices are converted to MHz once per block. They are kept
-    # in float arrays, which hold them exactly, and stored as Python ints:
-    # an integer array, or numpy integers stored into a float array,
-    # pages in 64-190 KiB more of numpy's code, which shows in the peak
-    # memory of a run.
-    carrier_k = np.empty(trials)
-    relay_u = np.empty((trials, 2, 2))
-    interferer_u = np.zeros((trials, hi, 2))
-    interferer_k = np.zeros((trials, hi))  # 0: padding
-    normals = np.zeros((trials, len(PAYLOAD_PAIRS) + 4 * hi, 2))
-    for t in range(trials):
-        rng = trial_stream(config.seed, start + t)
-        carrier_k[t] = int(rng.integers(*channels))
-        rng.random(out=relay_u[t])
-        n = rng.integers(lo, hi + 1)
-        for j in range(n):
-            rng.random(out=interferer_u[t, j])
-            interferer_k[t, j] = int(rng.integers(*channels))
-        rng.standard_normal(out=normals[t, :len(PAYLOAD_PAIRS) + 4 * n])
-    interferer_mhz = np.where(interferer_k > 0, _center_mhz(interferer_k), 0.0)
+    links = len(PAYLOAD_PAIRS) + 4 * hi
+    first = start // BLOCK_TRIALS
+    drawn = []
+    for b in range(first, -(-stop // BLOCK_TRIALS)):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
+        drawn.append((rng.integers(*channels, BLOCK_TRIALS),
+                      rng.random((BLOCK_TRIALS, 2, 2)),
+                      rng.integers(lo, hi + 1, BLOCK_TRIALS),
+                      rng.random((BLOCK_TRIALS, hi, 2)),
+                      rng.integers(*channels, (BLOCK_TRIALS, hi)),
+                      rng.standard_normal((BLOCK_TRIALS, links, 2))))
+    # The integer draws are converted to floats, which hold them exactly,
+    # before any arithmetic: integer comparisons and mixed-type arithmetic
+    # page in 64-128 KiB more of numpy's code each, which shows in the
+    # peak memory of a run.
+    rows = slice(start - first * BLOCK_TRIALS, stop - first * BLOCK_TRIALS)
+    carrier_k, relay_u, count, interferer_u, interferer_k, normals = (
+        (np.concatenate(arrays) if len(drawn) > 1 else arrays[0])[rows]
+        .astype(float, copy=False) for arrays in zip(*drawn))
+    count = count[:, None]
+    interferer_mhz = np.where(np.arange(hi) < count,
+                              _center_mhz(interferer_k), 0.0)
+    fading = np.where(np.arange(links) < len(PAYLOAD_PAIRS) + 4 * count,
+                      power_gain(normals), 0.0)
     return TrialBlock(_center_mhz(carrier_k), relay_u, interferer_u,
-                      interferer_mhz, power_gain(normals))
+                      interferer_mhz, fading)

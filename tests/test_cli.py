@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from relaysim import cli
+from relaysim import cli, montecarlo
 from relaysim.cli import (
     CliError,
     Settings,
@@ -216,6 +216,32 @@ class TestRunModes:
         assert rc == 0
         assert len(open(out).read().splitlines()) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "sweep", "--lmin", "20", "--lmax", "40", "--lstep", "20"],
+        ["--mode", "cdf", "--distance", "40"],
+    ], ids=["sweep", "cdf"])
+    def test_engine_gets_plain_scenario_config(self, tmp_path, monkeypatch,
+                                               argv):
+        # the engine sees the scenario alone, not the CLI's Settings
+        seen = []
+        draw, place = montecarlo.draw_block, montecarlo.link_sinrs
+
+        def draw_block(config, start, stop):
+            seen.append(config)
+            return draw(config, start, stop)
+
+        def link_sinrs(block, config):
+            seen.append(config)
+            return place(block, config)
+
+        monkeypatch.setattr(montecarlo, "draw_block", draw_block)
+        monkeypatch.setattr(montecarlo, "link_sinrs", link_sinrs)
+        out = str(tmp_path / "out.csv")
+        assert main(argv + ["--trials", "3", "--strategies", "direct",
+                            "--out", out]) == 0
+        assert len(seen) == (3 if "sweep" in argv else 2)  # draws, placements
+        assert all(type(c) is ScenarioConfig for c in seen)
+
     def test_cdf_csv_shape(self, tmp_path):
         out = str(tmp_path / "cdf.csv")
         rc = main(["--mode", "cdf", "--distance", "70", "--trials", "10",
@@ -276,15 +302,16 @@ class TestFailureModes:
 
 
 # sha256 of the CSV each run writes. These pin the output bytes of the
-# current RNG contract; they change only with a deliberate contract change.
+# RNG contract (scenario.RNG_CONTRACT, v2); they change only with a
+# deliberate contract change.
 _GOLDEN = {
     "sweep": (["--mode", "sweep", "--trials", "200", "--seed", "1"],
-              "d183f08992eaeb904a92ba38399ed6e295d43dec34b1b89ea68c9f88dc55dad3"),
+              "941539a722c17b54f4be9097807f852f83a8877e1c59ea9394a9fe4c379ccc27"),
     "cdf": (["--mode", "cdf", "--trials", "500", "--seed", "1"],
-            "b068972c7722a55566a7f4bf1da300a53fa6912ae232f32dc9b10eaae30dcb18"),
+            "8edb94df15c394d13a914df9de7244dbc68fb82fbfa2ad1cb3f45afd5085e41b"),
     "config": (["--mode", "cdf", "--distance", "40", "--blocked-direct",
                 "--trials", "300", "--seed", "2"],
-               "3f3bfd41a5976e5e6ebe5a84d7b087a3a37f079f3fbe47ad162cb2e3a875c801"),
+               "6012a866d78d8887a9714447059d4fa625c7be093ba09963824e5cd8fc4a4034"),
 }
 
 

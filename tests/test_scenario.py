@@ -7,17 +7,18 @@ from scipy import stats
 from relaysim.propagation import DS, R1S, SD, SR1, link_sinrs, \
     node_positions, place
 from relaysim.scenario import (
+    BLOCK_TRIALS,
     CHANNEL_INDEX_MAX,
     CHANNEL_INDEX_MIN,
     D,
     R1,
     R2,
+    RNG_CONTRACT,
     S,
     ScenarioConfig,
     channel_frequency,
     draw_block,
     power_gain,
-    trial_stream,
 )
 
 CARRIERS_MHZ = [channel_frequency(k)
@@ -27,6 +28,19 @@ CARRIERS_MHZ = [channel_frequency(k)
 def _blocks_equal(a, b):
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
                for f in dataclasses.fields(a))
+
+
+def _reference_block(cfg, b):
+    """Contract block b made by hand: its stream, then the six draws in
+    order, with positions drawn in metres at cfg.distance_m."""
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))))
+    B, L, n = BLOCK_TRIALS, cfg.distance_m, cfg.interferer_max
+    low, high = (0.0, -L / 2), (L, L / 2)
+    return (rng.integers(11, 27, B), rng.uniform(low, high, (B, 2, 2)),
+            rng.integers(cfg.interferer_min, n + 1, B),
+            rng.uniform(low, high, (B, n, 2)), rng.integers(11, 27, (B, n)),
+            rng.standard_normal((B, 5 + 4 * n, 2)))
 
 
 def _drawn(block, t):
@@ -109,39 +123,46 @@ class TestSampling:
         assert not _blocks_equal(draw_block(cfg, 0, 1), draw_block(cfg, 1, 2))
 
     def test_block_rows_match_single_trials(self):
-        # a trial's draws do not depend on the block it is drawn in
+        # a trial's draws do not depend on the range it is drawn in, also
+        # across a block boundary
         cfg = ScenarioConfig(interferer_min=0, interferer_max=6, seed=19)
-        block = draw_block(cfg, 3, 11)
+        first = BLOCK_TRIALS - 4
+        block = draw_block(cfg, first, BLOCK_TRIALS + 4)
         for t in range(8):
-            alone = draw_block(cfg, 3 + t, 4 + t)
+            alone = draw_block(cfg, first + t, first + t + 1)
             for f in dataclasses.fields(block):
                 np.testing.assert_array_equal(getattr(block, f.name)[t],
                                               getattr(alone, f.name)[0])
 
     def test_draws_follow_contract_order(self):
-        # reference: the contract's draws made one call at a time
+        # reference: each contract block's stream and draws made by hand
         cfg = ScenarioConfig(distance_m=30.0, interferer_min=0,
                              interferer_max=4, seed=29)
         L = cfg.distance_m
-        block = draw_block(cfg, 5, 45)
+        first = BLOCK_TRIALS - 20
+        block = draw_block(cfg, first, BLOCK_TRIALS + 20)
         nodes = node_positions(block, L)
+        blocks = {b: _reference_block(cfg, b) for b in (0, 1)}
         for t in range(40):
-            rng = trial_stream(cfg.seed, 5 + t)
-            assert block.carrier_mhz[t] == channel_frequency(
-                rng.integers(11, 27))
-            for relay in (R1, R2):
-                assert tuple(nodes[t, relay]) == (
-                    rng.uniform(0.0, L), rng.uniform(-L / 2, L / 2))
-            n = rng.integers(0, 5)
+            b, row = divmod(first + t, BLOCK_TRIALS)
+            k, relays, counts, positions, ks, normals = blocks[b]
+            assert block.carrier_mhz[t] == channel_frequency(k[row])
+            np.testing.assert_array_equal(nodes[t, [R1, R2]], relays[row])
+            n = counts[row]
             for j in range(n):
-                assert tuple(place(block.interferer_u[t, j], L)) == (
-                    rng.uniform(0.0, L), rng.uniform(-L / 2, L / 2))
+                assert tuple(place(block.interferer_u[t, j], L)) == \
+                    tuple(positions[row, j])
                 assert block.interferer_mhz[t, j] == channel_frequency(
-                    rng.integers(11, 27))
+                    ks[row, j])
             assert not block.interferer_mhz[t, n:].any()
-            for gain in block.fading[t, :5 + 4 * n]:
-                assert gain == power_gain(rng.standard_normal(2))
+            np.testing.assert_array_equal(block.fading[t, :5 + 4 * n],
+                                          power_gain(normals[row, :5 + 4 * n]))
             assert not block.fading[t, 5 + 4 * n:].any()
+
+    @pytest.mark.parametrize("start, stop", [(5, 5), (4, 2), (-1, 3)])
+    def test_rejects_empty_or_negative_range(self, start, stop):
+        with pytest.raises(ValueError, match="trial range"):
+            draw_block(ScenarioConfig(), start, stop)
 
     def test_interferer_count_in_range(self):
         cfg = ScenarioConfig(interferer_min=1, interferer_max=3, seed=3)
@@ -184,16 +205,44 @@ class TestSampling:
         assert sinr[SR1] == sinr[R1S]
 
 
-class TestTrialStream:
-    def test_streams_reproducible(self):
-        a = trial_stream(123, 7).standard_normal(5)
-        b = trial_stream(123, 7).standard_normal(5)
-        np.testing.assert_array_equal(a, b)
+class TestBlockStream:
+    def test_block_reproducible(self):
+        cfg = ScenarioConfig(seed=123, interferer_min=0, interferer_max=4)
+        b = BLOCK_TRIALS
+        a = draw_block(cfg, b, 2 * b)
+        assert _blocks_equal(a, draw_block(cfg, b, 2 * b))
+        whole = draw_block(cfg, 0, 3 * b)
+        for f in dataclasses.fields(a):
+            np.testing.assert_array_equal(getattr(a, f.name),
+                                          getattr(whole, f.name)[b:2 * b])
 
-    def test_streams_independent_by_index(self):
-        a = trial_stream(123, 7).standard_normal(5)
-        b = trial_stream(123, 8).standard_normal(5)
-        assert not np.array_equal(a, b)
+    def test_blocks_differ_by_index(self):
+        cfg = ScenarioConfig(seed=123, interferer_min=0, interferer_max=4)
+        b = BLOCK_TRIALS
+        first, second = draw_block(cfg, 0, b), draw_block(cfg, b, 2 * b)
+        for f in dataclasses.fields(first):
+            assert not np.array_equal(getattr(first, f.name),
+                                      getattr(second, f.name))
+
+    def test_known_answer(self):
+        # pins the contract: a changed stream, block size or draw order
+        # changes these values and must bump RNG_CONTRACT
+        assert RNG_CONTRACT == ("v2: PCG64(SeedSequence(entropy=seed, "
+                                "spawn_key=(block,))) per block of 256 "
+                                "trials")
+        cfg = ScenarioConfig(seed=2012)
+        expected = {
+            0: (2465.0, [0.6861902945124969, 0.8981197538163238,
+                         0.3685811075561187, 0.07685042583072799]),
+            BLOCK_TRIALS + 1: (2410.0, [0.42477458362867826,
+                                        0.5342775816624014,
+                                        0.8146481470205729,
+                                        0.6000670475948124]),
+        }
+        for t, (carrier, relay_u) in expected.items():
+            block = draw_block(cfg, t, t + 1)
+            assert block.carrier_mhz[0] == carrier
+            assert block.relay_u[0].ravel().tolist() == relay_u
 
     def test_distance_change_keeps_unit_draws(self):
         # the draws do not depend on the distance: link_sinrs places them
