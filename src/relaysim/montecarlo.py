@@ -3,15 +3,18 @@
 Trials come in the fixed blocks of the RNG contract
 (scenario.BLOCK_TRIALS), each drawn from its own derived random stream,
 so any range of whole blocks can be evaluated anywhere and give the same
-bytes. The draws do not depend on the distance (scenario.draw_block),
-and propagation.link_sinrs places them at each point. A run (one point,
-a sweep or a CDF) opens at most one process pool. Its work items are
-ranges of whole blocks over every distance of the run, a few per
-process; an item draws each of its blocks once, for all distances. A run
-of fewer than two blocks, and a serial run, is one item evaluated in
+bytes. The draws do not depend on the distance (scenario.draw_block).
+propagation.link_sinrs places a block at one distance or at several in
+one numpy pass: a whole block goes one distance at a time, a block of
+fewer trials at as many distances as fit into BLOCK_TRIALS rows. A run
+(one point, a sweep or a CDF) opens at most one process pool. Its work
+items are ranges of whole blocks over every distance of the run, a few
+per process; an item draws each of its blocks once, for all distances. A
+run of fewer than two blocks, and a serial run, is one item evaluated in
 this process. The results come back in item order and are stacked per
 distance, in trial order, before any aggregation, so results are
-bit-identical for any worker count.
+bit-identical for any worker count. A sweep aggregates each point with
+one sort over its (strategies, trials) table.
 """
 
 from __future__ import annotations
@@ -55,13 +58,18 @@ class EmpiricalCdf:
                      / self.n)
 
 
+def _rank(p: float, n: int) -> int:
+    """0-based index of the nearest-rank p-th percentile of n sorted
+    samples: ceil(p*n/100), 1-based, clamped to [1, n]."""
+    if not 0.0 <= p <= 100.0:
+        raise ValueError("percentile must lie in [0, 100]")
+    return min(max(math.ceil(p * n / 100.0), 1), n) - 1
+
+
 def percentile(cdf: EmpiricalCdf, p: float) -> float:
     """Nearest-rank percentile: element at index ceil(p*n/100), 1-based,
     clamped to [1, n]."""
-    if not 0.0 <= p <= 100.0:
-        raise ValueError("percentile must lie in [0, 100]")
-    rank = min(max(math.ceil(p * cdf.n / 100.0), 1), cdf.n)
-    return float(cdf.sorted_samples[rank - 1])
+    return float(cdf.sorted_samples[_rank(p, cdf.n)])
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,23 @@ class SummaryStats:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "SummaryStats":
-        cdf = EmpiricalCdf.from_samples(samples)
-        return cls(float(np.mean(cdf.sorted_samples)),
-                   percentile(cdf, 10), percentile(cdf, 50),
-                   percentile(cdf, 90))
+        (stats,) = _summaries(np.asarray(samples, dtype=float)[None])
+        return stats
+
+
+def _summaries(rows: np.ndarray) -> list[SummaryStats]:
+    """SummaryStats of each row of a C-contiguous (k, n) array, with one
+    sort for all rows. np.mean over the last axis of a C-contiguous array
+    sums each row pairwise, as np.mean of that row alone does, so a row's
+    mean does not depend on the other rows."""
+    n = rows.shape[-1]
+    if n == 0:
+        raise ValueError("cannot build a CDF from zero samples")
+    ordered = np.sort(rows, axis=-1)
+    ranks = [_rank(p, n) for p in (10, 50, 90)]
+    return [SummaryStats(mean, *quantiles) for mean, quantiles in
+            zip(np.mean(ordered, axis=-1).tolist(),
+                ordered[:, ranks].tolist())]
 
 
 def _points(config: ScenarioConfig,
@@ -95,21 +116,43 @@ def _points(config: ScenarioConfig,
 def _item_tables(configs: Sequence[ScenarioConfig], start: int, stop: int,
                  kinds: tuple[StrategyKind, ...]) -> Iterator[np.ndarray]:
     """Each config's (stop-start, len(kinds)) table of trials [start,
-    stop), in config order; all strategies of a trial share its draw.
+    stop), in config order, as the transpose of a C-contiguous
+    (len(kinds), stop-start) array; all strategies of a trial share its
+    draw. The configs differ in distance_m alone.
 
     Draws do not depend on the distance, so each block is drawn once and
     kept for all configs; a one-config item draws each block as it
-    evaluates it and keeps nothing."""
+    evaluates it and keeps nothing. A block of `rows` trials is placed at
+    max(1, BLOCK_TRIALS // rows) consecutive distances per call, and its
+    rates at the later ones are kept until their tables are filled: a
+    short block (a run of few trials) costs one numpy pass per
+    BLOCK_TRIALS rows, not one per distance, and a whole block is placed
+    at one distance at a time, so no array grows. A larger row budget
+    would pack whole blocks too, and raise the peak memory of a run:
+    bench/memory_probe.py at sweep_w1's memory size (10 points x 1000
+    trials, 2-vCPU host) read medians of 5 runs of 6.95 MiB at 256 rows,
+    7.48 MiB (+7.7%) at 512 and 8.07 MiB (+16%) at 1024 with the modules
+    compiled at import, and 7.48, 7.98 (+6.7%) and 8.56 MiB (+14.5%)
+    with fresh .pyc files."""
+    distances = np.array([c.distance_m for c in configs])
     blocks = (draw_block(configs[0], first, min(first + BLOCK_TRIALS, stop))
               for first in range(start, stop, BLOCK_TRIALS))
     if len(configs) > 1:
         blocks = list(blocks)
-    for config in configs:
-        out = np.empty((stop - start, len(kinds)))
+    packed = {}  # a short block's first row -> its rates at the group
+    for i in range(len(configs)):
+        out = np.empty((len(kinds), stop - start))
         for first, block in zip(range(0, stop - start, BLOCK_TRIALS), blocks):
-            out[first:first + BLOCK_TRIALS] = strategy_rates(
-                link_sinrs(block, config), kinds)
-        yield out
+            group = max(1, BLOCK_TRIALS // len(block.carrier_mhz))
+            if i % group == 0:
+                rates = strategy_rates(link_sinrs(
+                    block, configs[0], distances[i:i + group]), kinds)
+                if group > 1:
+                    packed[first] = rates
+            else:
+                rates = packed[first]
+            out[:, first:first + BLOCK_TRIALS] = rates[i % group].T
+        yield out.T
 
 
 def _run_item(configs: Sequence[ScenarioConfig], start: int, stop: int,
@@ -122,7 +165,8 @@ def _tables(configs: Sequence[ScenarioConfig], trials: int,
             kinds: tuple[StrategyKind, ...], workers: int,
             ) -> Iterator[np.ndarray]:
     """Each config's (trials, len(kinds)) table of trials 0..trials-1, in
-    config order.
+    config order, as the transpose of a C-contiguous (len(kinds), trials)
+    array. The configs differ in distance_m alone.
 
     A work item is a range of whole BLOCK_TRIALS blocks over every
     config, up to ITEMS_PER_WORKER items per process. One pool serves
@@ -149,7 +193,7 @@ def _tables(configs: Sequence[ScenarioConfig], trials: int,
         parts = list(pool.map(_run_item, repeat(configs), starts, stops,
                               repeat(kinds)))
     for tables in zip(*parts):
-        yield np.vstack(tables)
+        yield np.concatenate([t.T for t in tables], axis=1).T
 
 
 def run_point(config: ScenarioConfig, trials: int,
@@ -170,7 +214,7 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
               ) -> dict[tuple[StrategyKind, float], SummaryStats]:
     """Summary statistics per (strategy, distance) over trials at each of
     the distances, which replace config.distance_m. Each point is
-    aggregated as soon as its table is complete."""
+    aggregated as soon as its table is complete, with one sort."""
     if not distances_m:
         raise ValueError("distances_m must be non-empty")
     if any(b <= a for a, b in zip(distances_m, distances_m[1:])):
@@ -179,8 +223,8 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
     tables = _tables(_points(config, distances_m), trials, kinds, workers)
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
     for table, distance in zip(tables, distances_m):
-        for j, kind in enumerate(kinds):
-            results[(kind, distance)] = SummaryStats.from_samples(table[:, j])
+        for kind, stats in zip(kinds, _summaries(table.T)):
+            results[(kind, distance)] = stats
     return results
 
 

@@ -1,6 +1,6 @@
-"""Per-link SINRs of a block of trials at a distance: placement of the
-block's position variates, ITU indoor path loss, Rayleigh fading, dB
-conversions and interference aggregation."""
+"""Per-link SINRs of a block of trials at one or several distances:
+placement of the block's position variates, ITU indoor path loss,
+Rayleigh fading, dB conversions and interference aggregation."""
 
 from __future__ import annotations
 
@@ -66,38 +66,45 @@ def received_mw(power_dbm, gain_db, path_loss, fading):
     return dbm_to_mw(power_dbm + gain_db - path_loss) * fading
 
 
-def place(u: np.ndarray, distance_m: float) -> np.ndarray:
+def place(u: np.ndarray, distance_m) -> np.ndarray:
     """Positions in m of U[0, 1) variate pairs (..., 2) in the box
     [0, L] x [-L/2, L/2]. Generator.uniform(low, high) computes
     low + (high - low) * u, so this matches drawing each coordinate with
-    it, bit for bit."""
-    xy = u * distance_m
-    xy[..., 1] -= distance_m / 2
+    it, bit for bit. A 1-D array of G distances adds a leading axis of
+    length G; a scalar distance adds none."""
+    d = np.reshape(distance_m, np.shape(distance_m) + (1,) * u.ndim)
+    xy = u * d
+    xy[..., 1] -= d[..., 0] / 2
     return xy
 
 
-def node_positions(block: "TrialBlock", distance_m: float) -> np.ndarray:
-    """S, D, R1, R2 positions in m of each trial, shape (B, 4, 2): S at
-    the origin, D at (L, 0), the relays placed in the box."""
-    xy = np.zeros((len(block.carrier_mhz), 4, 2))
-    xy[:, R1:] = place(block.relay_u, distance_m)
-    xy[:, D, 0] = distance_m
+def node_positions(block: "TrialBlock", distance_m) -> np.ndarray:
+    """S, D, R1, R2 positions in m of each trial, shape (B, 4, 2), or
+    (G, B, 4, 2) at a 1-D array of G distances: S at the origin, D at
+    (L, 0), the relays placed in the box."""
+    lead = np.shape(distance_m)
+    xy = np.zeros(lead + (len(block.carrier_mhz), 4, 2))
+    xy[..., R1:, :] = place(block.relay_u, distance_m)
+    xy[..., D, 0] = np.reshape(distance_m, lead + (1,))
     return xy
 
 
-def interference_mw(block: "TrialBlock",
-                    config: "ScenarioConfig") -> np.ndarray:
-    """Aggregate interference power in mW at each node, shape (B, 4) with
-    columns S, D, R1, R2.
+def interference_mw(block: "TrialBlock", config: "ScenarioConfig",
+                    distance_m=None) -> np.ndarray:
+    """Aggregate interference power in mW at each node of the block
+    placed at distance_m (default config.distance_m), shape (B, 4), or
+    (G, B, 4) at a 1-D array of G distances, with node columns S, D, R1,
+    R2.
 
     Only interferers occupying the trial's channel contribute; each enters
     through its own path loss and Rayleigh gain and is treated as extra
-    Gaussian noise.
+    Gaussian noise. The sum runs over the interferer axis, which is not
+    the last one, so each node's terms are added in interferer order.
     """
     trials, n = block.interferer_mhz.shape
-    L = config.distance_m
-    offset = place(block.interferer_u, L)[:, :, None] \
-        - node_positions(block, L)[:, None]
+    L = config.distance_m if distance_m is None else distance_m
+    offset = place(block.interferer_u, L)[..., None, :] \
+        - node_positions(block, L)[..., None, :, :]
     pl = path_loss_db(block.carrier_mhz[:, None, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
@@ -105,22 +112,26 @@ def interference_mw(block: "TrialBlock",
     power = received_mw(config.interferer_power_dbm,
                         2.0 * config.antenna_gain_db, pl, fading)
     cochannel = block.interferer_mhz == block.carrier_mhz[:, None]
-    return np.where(cochannel[..., None], power, 0.0).sum(axis=1)
+    return np.where(cochannel[..., None], power, 0.0).sum(axis=-2)
 
 
-def link_sinrs(block: "TrialBlock", config: "ScenarioConfig") -> np.ndarray:
+def link_sinrs(block: "TrialBlock", config: "ScenarioConfig",
+               distance_m=None) -> np.ndarray:
     """Linear SINR of every directed payload link of the block placed at
-    config.distance_m, shape (B, 8) with columns SD, DS, SR1, R1D, DR1,
-    R1S, SR2, R2D."""
-    node_xy = node_positions(block, config.distance_m)
-    offset = node_xy[:, _PAIR_TX] - node_xy[:, _PAIR_RX]
+    distance_m (default config.distance_m), shape (B, 8), or (G, B, 8) at
+    a 1-D array of G distances, with columns SD, DS, SR1, R1D, DR1, R1S,
+    SR2, R2D. Every operation is element-wise or sums over interferers,
+    so a row's SINRs do not depend on the other distances of the call."""
+    L = config.distance_m if distance_m is None else distance_m
+    node_xy = node_positions(block, L)
+    offset = node_xy[..., _PAIR_TX, :] - node_xy[..., _PAIR_RX, :]
     pl = path_loss_db(block.carrier_mhz[:, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
     signal = received_mw(config.tx_power_dbm, 2.0 * config.antenna_gain_db,
                          pl, block.fading[:, :len(PAYLOAD_PAIRS)])
     if config.blocked_direct:
-        signal[:, PAYLOAD_PAIRS.index((S, D))] = 0.0
+        signal[..., PAYLOAD_PAIRS.index((S, D))] = 0.0
     noise = dbm_to_mw(config.noise_power_dbm)
-    return signal[:, _LINK_PAIR] / (interference_mw(block, config)[:, _LINK_RX]
-                                    + noise)
+    return signal[..., _LINK_PAIR] / (
+        interference_mw(block, config, L)[..., _LINK_RX] + noise)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -44,57 +44,63 @@ def _check_nonneg(*snrs) -> None:
             raise ValueError(f"SNR must be non-negative, got {np.min(g)}")
 
 
+def _checked(body):
+    """The public form of a formula body: it rejects negative and NaN SNRs
+    among its arguments, then runs the body. strategy_rates checks its
+    input once and runs the bodies themselves."""
+    @wraps(body)
+    def formula(*snrs):
+        _check_nonneg(*snrs)
+        return body(*snrs)
+    formula.__name__ = formula.__qualname__ = body.__name__.lstrip("_")
+    return formula
+
+
 def _lg(snr):
     # np.log for log2: see the note on numpy routines in propagation.py.
     return np.log(1.0 + snr) / _LN2
 
 
-def rate_direct(snr_sd):
+def _rate_direct(snr_sd):
     """Full-slot point-to-point rate log2(1 + SNR)."""
-    _check_nonneg(snr_sd)
     return _lg(snr_sd)
 
 
-def af_equivalent_snr(g1, g2):
+def _af_equivalent_snr(g1, g2):
     """End-to-end SNR of a variable-gain AF hop with noise amplification:
     g1*g2 / (g1 + g2 + 1), zero when either hop is dead."""
-    _check_nonneg(g1, g2)
     return g1 * g2 / (g1 + g2 + 1.0)
 
 
-def rate_af_single(snr_sd, snr_sr, snr_rd):
+def _rate_af_single(snr_sd, snr_sr, snr_rd):
     """Single-relay AF with MRC of direct and relayed copies."""
-    _check_nonneg(snr_sd)  # af_equivalent_snr checks the relay hops
-    return 0.5 * _lg(snr_sd + af_equivalent_snr(snr_sr, snr_rd))
+    return 0.5 * _lg(snr_sd + _af_equivalent_snr(snr_sr, snr_rd))
 
 
-def rate_df_single(snr_sd, snr_sr, snr_rd):
+def _rate_df_single(snr_sd, snr_sr, snr_rd):
     """Single-relay repetition-coded DF: decode constraint at the relay,
     MRC at the destination."""
-    _check_nonneg(snr_sd, snr_sr, snr_rd)
     return 0.5 * np.minimum(_lg(snr_sr), _lg(snr_sd + snr_rd))
 
 
-def rate_af_beamform2(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d):
+def _rate_af_beamform2(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d):
     """Two-relay AF with collaborative beamforming: the co-phased relay
     paths add in amplitude at the destination."""
-    _check_nonneg(snr_sd)  # af_equivalent_snr checks the relay hops
-    amplitude = (np.sqrt(af_equivalent_snr(snr_sr1, snr_r1d))
-                 + np.sqrt(af_equivalent_snr(snr_sr2, snr_r2d)))
+    amplitude = (np.sqrt(_af_equivalent_snr(snr_sr1, snr_r1d))
+                 + np.sqrt(_af_equivalent_snr(snr_sr2, snr_r2d)))
     return 0.5 * _lg(snr_sd + amplitude * amplitude)
 
 
-def rate_df_beamform2(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d):
+def _rate_df_beamform2(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d):
     """Two-relay DF with collaborative beamforming: both relays must decode
     (the weaker source->relay link binds), coherent retransmission adds in
     amplitude at the destination."""
-    _check_nonneg(snr_sd, snr_sr1, snr_r1d, snr_sr2, snr_r2d)
     amplitude = np.sqrt(snr_r1d) + np.sqrt(snr_r2d)
     return 0.5 * np.minimum(np.minimum(_lg(snr_sr1), _lg(snr_sr2)),
                             _lg(snr_sd + amplitude * amplitude))
 
 
-def twoway_af_snrs(g_a, g_b):
+def _twoway_af_snrs(g_a, g_b):
     """Post-cancellation SNRs at end nodes A and B for two-way AF.
 
     The relay normalizes its transmit power over the superposed reception
@@ -103,20 +109,19 @@ def twoway_af_snrs(g_a, g_b):
     zero when either link is dead. Channels are reciprocal within the
     trial.
     """
-    _check_nonneg(g_a, g_b)
     prod = g_a * g_b
     return (prod / (2.0 * g_a + g_b + 1.0),
             prod / (g_a + 2.0 * g_b + 1.0))
 
 
-def rate_twoway_af(g_a, g_b):
+def _rate_twoway_af(g_a, g_b):
     """Two-slot bidirectional AF; the direct link is unused (half duplex).
     Returns the rates (A->B, B->A)."""
-    snr_a, snr_b = twoway_af_snrs(g_a, g_b)
+    snr_a, snr_b = _twoway_af_snrs(g_a, g_b)
     return 0.5 * _lg(snr_b), 0.5 * _lg(snr_a)
 
 
-def rate_twoway_df(g_a, g_b):
+def _rate_twoway_df(g_a, g_b):
     """Two-slot bidirectional DF with successive decoding at the relay.
     Returns the rates (A->B, B->A).
 
@@ -125,12 +130,22 @@ def rate_twoway_df(g_a, g_b):
     slot: network-coded retransmission, each destination additionally
     limited by its own downlink.
     """
-    _check_nonneg(g_a, g_b)
     a_first = g_a >= g_b
     r_a_mac = np.where(a_first, _lg(g_a / (1.0 + g_b)), _lg(g_a))
     r_b_mac = np.where(a_first, _lg(g_b), _lg(g_b / (1.0 + g_a)))
     return (0.5 * np.minimum(r_a_mac, _lg(g_b)),
             0.5 * np.minimum(r_b_mac, _lg(g_a)))
+
+
+rate_direct = _checked(_rate_direct)
+af_equivalent_snr = _checked(_af_equivalent_snr)
+rate_af_single = _checked(_rate_af_single)
+rate_df_single = _checked(_rate_df_single)
+rate_af_beamform2 = _checked(_rate_af_beamform2)
+rate_df_beamform2 = _checked(_rate_df_beamform2)
+twoway_af_snrs = _checked(_twoway_af_snrs)
+rate_twoway_af = _checked(_rate_twoway_af)
+rate_twoway_df = _checked(_rate_twoway_df)
 
 
 def rate_exchange(one_way, *snrs):
@@ -143,23 +158,25 @@ def rate_exchange(one_way, *snrs):
     return 0.5 * one_way(*snrs[:half]), 0.5 * one_way(*snrs[half:])
 
 
-# Each strategy's formula and the link_sinrs columns of its arguments. The
-# two-way strategies use end node A = S, end node B = D and relay R1; their
-# node-relay SINRs take interference as seen at the relay (the receiver of
-# the multiple-access slot).
+# Each strategy's formula body and the link_sinrs columns of its
+# arguments. The two-way strategies use end node A = S, end node B = D and
+# relay R1; their node-relay SINRs take interference as seen at the relay
+# (the receiver of the multiple-access slot).
 _FORMULAS = {
-    StrategyKind.DIRECT: (rate_direct, (SD,)),
-    StrategyKind.AF_SINGLE: (rate_af_single, (SD, SR1, R1D)),
-    StrategyKind.DF_SINGLE: (rate_df_single, (SD, SR1, R1D)),
-    StrategyKind.AF_BEAMFORM2: (rate_af_beamform2, (SD, SR1, R1D, SR2, R2D)),
-    StrategyKind.DF_BEAMFORM2: (rate_df_beamform2, (SD, SR1, R1D, SR2, R2D)),
-    StrategyKind.TWOWAY_AF: (rate_twoway_af, (SR1, DR1)),
-    StrategyKind.TWOWAY_DF: (rate_twoway_df, (SR1, DR1)),
-    StrategyKind.DIRECT_EXCHANGE: (partial(rate_exchange, rate_direct),
+    StrategyKind.DIRECT: (_rate_direct, (SD,)),
+    StrategyKind.AF_SINGLE: (_rate_af_single, (SD, SR1, R1D)),
+    StrategyKind.DF_SINGLE: (_rate_df_single, (SD, SR1, R1D)),
+    StrategyKind.AF_BEAMFORM2: (_rate_af_beamform2,
+                                (SD, SR1, R1D, SR2, R2D)),
+    StrategyKind.DF_BEAMFORM2: (_rate_df_beamform2,
+                                (SD, SR1, R1D, SR2, R2D)),
+    StrategyKind.TWOWAY_AF: (_rate_twoway_af, (SR1, DR1)),
+    StrategyKind.TWOWAY_DF: (_rate_twoway_df, (SR1, DR1)),
+    StrategyKind.DIRECT_EXCHANGE: (partial(rate_exchange, _rate_direct),
                                    (SD, DS)),
-    StrategyKind.UNI_AF_EXCHANGE: (partial(rate_exchange, rate_af_single),
+    StrategyKind.UNI_AF_EXCHANGE: (partial(rate_exchange, _rate_af_single),
                                    (SD, SR1, R1D, DS, DR1, R1S)),
-    StrategyKind.UNI_DF_EXCHANGE: (partial(rate_exchange, rate_df_single),
+    StrategyKind.UNI_DF_EXCHANGE: (partial(rate_exchange, _rate_df_single),
                                    (SD, SR1, R1D, DS, DR1, R1S)),
 }
 
@@ -170,7 +187,11 @@ def strategy_rates(sinr, kinds) -> np.ndarray:
     sinr holds the directed payload SINRs on its last axis, in link_sinrs
     column order; the result has one entry per kind on its last axis.
     A formula that returns the rates of two directions reports their sum.
+    The columns the kinds read are checked once, as the public rate_*
+    functions check their arguments; the formula bodies run unchecked.
     """
+    _check_nonneg(sinr[..., sorted({c for kind in kinds
+                                    for c in _FORMULAS[kind][1]})])
     rates = []
     for kind in kinds:
         formula, columns = _FORMULAS[kind]

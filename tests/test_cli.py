@@ -230,16 +230,18 @@ class TestRunModes:
             seen.append(config)
             return draw(config, start, stop)
 
-        def link_sinrs(block, config):
+        def link_sinrs(block, config, distance_m):
             seen.append(config)
-            return place(block, config)
+            return place(block, config, distance_m)
 
         monkeypatch.setattr(montecarlo, "draw_block", draw_block)
         monkeypatch.setattr(montecarlo, "link_sinrs", link_sinrs)
         out = str(tmp_path / "out.csv")
         assert main(argv + ["--trials", "3", "--strategies", "direct",
                             "--out", out]) == 0
-        assert len(seen) == (3 if "sweep" in argv else 2)  # draws, placements
+        # one draw; the 3-trial block is placed at both sweep distances in
+        # one call
+        assert len(seen) == 2
         assert all(type(c) is ScenarioConfig for c in seen)
 
     def test_cdf_csv_shape(self, tmp_path):

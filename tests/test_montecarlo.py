@@ -277,6 +277,49 @@ class TestRunSweep:
         assert pool_sizes == ([] if workers == 1 else [2])
         assert drawn == [(0, b), (b, 2 * b), (2 * b, 2 * b + 7)]
 
+    @staticmethod
+    def _count_placements(monkeypatch):
+        """Distances per montecarlo.link_sinrs call, in call order."""
+        calls = []
+
+        def counting(block, config, distance_m):
+            calls.append(np.size(distance_m))
+            return link_sinrs(block, config, distance_m)
+
+        monkeypatch.setattr(montecarlo, "link_sinrs", counting)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_packed_distances_match_run_point(self, workers, monkeypatch):
+        # a 100-trial block is placed at two distances per call: 23 points
+        # make 11 pairs and a remainder of one
+        cfg = ScenarioConfig(seed=45, interferer_min=0, interferer_max=5)
+        distances = tuple(float(L) for L in range(12, 104, 4))
+        assert len(distances) == 23
+        calls = self._count_placements(monkeypatch)
+        swept = run_sweep(cfg, distances, 100, workers=workers)
+        assert calls == [2] * 11 + [1]
+        tables = montecarlo._tables(montecarlo._points(cfg, distances), 100,
+                                    ALL_STRATEGIES, workers)
+        for d, table in zip(distances, tables):
+            alone = run_point(replace(cfg, distance_m=d), 100)
+            for j, kind in enumerate(ALL_STRATEGIES):
+                np.testing.assert_array_equal(table[:, j], alone[kind])
+                assert swept[(kind, d)] == \
+                    SummaryStats.from_samples(alone[kind])
+
+    def test_whole_blocks_are_not_packed(self, monkeypatch):
+        cfg = ScenarioConfig(seed=45)
+        distances = tuple(float(L) for L in range(12, 104, 4))
+        calls = self._count_placements(monkeypatch)
+        b = montecarlo.BLOCK_TRIALS
+        run_sweep(cfg, distances, b, (StrategyKind.DIRECT,))
+        assert calls == [1] * 23
+        # whole blocks one distance at a time, the 7-row tail at all three
+        calls.clear()
+        run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,))
+        assert calls == [1, 1, 3, 1, 1, 1, 1]
+
     def test_rejects_bad_distances(self):
         cfg = ScenarioConfig()
         with pytest.raises(ValueError):

@@ -7,13 +7,16 @@ from scipy import stats
 
 from relaysim.propagation import (
     DS,
+    MIN_DISTANCE_M,
     SD,
     SR1,
     dbm_to_mw,
     interference_mw,
     link_sinrs,
     mw_to_dbm,
+    node_positions,
     path_loss_db,
+    place,
     received_mw,
 )
 from relaysim.scenario import (
@@ -195,3 +198,54 @@ class TestBuildLinkSet:
         quiet = ScenarioConfig(distance_m=70.0, seed=9,
                                interferer_power_dbm=float("-inf"))
         assert not interference_mw(block, quiet).any()  # noise alone
+
+
+class TestDistanceAxis:
+    """A 1-D array of distances gives the scalar calls' arrays, stacked,
+    bit for bit."""
+
+    DISTANCES = np.array([0.5 * MIN_DISTANCE_M, 10.0, 37.3, 70.0, 100.0])
+
+    @pytest.mark.parametrize("scenario", [
+        {},
+        {"blocked_direct": True},
+        {"interferer_power_dbm": float("-inf")},
+        {"interferer_min": 9, "interferer_max": 12},
+    ], ids=["default", "blocked_direct", "no_interference",
+            "twelve_interferers"])
+    def test_link_sinrs(self, scenario):
+        cfg = ScenarioConfig(seed=31, **scenario)
+        block = draw_block(cfg, 3, 203)
+        # interferer_max=12 sums more than 8 terms, where numpy's pairwise
+        # sum would no longer match the sequential one
+        assert block.interferer_mhz.shape[1] == cfg.interferer_max
+        stacked = np.stack([link_sinrs(block, ScenarioConfig(
+            seed=31, distance_m=d, **scenario)) for d in self.DISTANCES])
+        np.testing.assert_array_equal(
+            link_sinrs(block, cfg, self.DISTANCES), stacked)
+        np.testing.assert_array_equal(
+            interference_mw(block, cfg, self.DISTANCES),
+            np.stack([interference_mw(block, cfg, d)
+                      for d in self.DISTANCES]))
+
+    def test_place_and_node_positions(self):
+        block = draw_block(ScenarioConfig(seed=32, interferer_max=5), 0, 40)
+        for u in (block.relay_u, block.interferer_u, block.relay_u[3, 1]):
+            np.testing.assert_array_equal(
+                place(u, self.DISTANCES),
+                np.stack([place(u, d) for d in self.DISTANCES]))
+        nodes = node_positions(block, self.DISTANCES)
+        assert nodes.shape == (len(self.DISTANCES), 40, 4, 2)
+        np.testing.assert_array_equal(
+            nodes, np.stack([node_positions(block, d)
+                             for d in self.DISTANCES]))
+
+    def test_scalar_keeps_shapes(self):
+        block = draw_block(ScenarioConfig(seed=33), 0, 7)
+        cfg = ScenarioConfig(seed=33)
+        assert place(block.relay_u, 70.0).shape == (7, 2, 2)
+        assert node_positions(block, 70.0).shape == (7, 4, 2)
+        assert interference_mw(block, cfg).shape == (7, 4)
+        assert link_sinrs(block, cfg).shape == (7, 8)
+        np.testing.assert_array_equal(link_sinrs(block, cfg),
+                                      link_sinrs(block, cfg, 70.0))

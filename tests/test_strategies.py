@@ -273,6 +273,21 @@ class TestExchangeBaselines:
 
 
 class TestEvaluateStrategy:
+    def test_checks_the_columns_its_kinds_read(self):
+        # checked once at the boundary, over the union of the kinds'
+        # columns: DR1 is read by two-way AF alone, SR2 by neither kind
+        kinds = (StrategyKind.DIRECT, StrategyKind.TWOWAY_AF)
+        clean = np.stack([_sinrs(sd=2.0, sr=5.0, dr=3.0), _sinrs(sd=1.0)])
+        bad = clean.copy()
+        bad[1, DR1] = np.nan
+        with pytest.raises(ValueError,
+                           match="^SNR must be non-negative, got nan$"):
+            strategy_rates(bad, kinds)
+        unread = clean.copy()
+        unread[0, SR2] = np.nan
+        np.testing.assert_array_equal(strategy_rates(unread, kinds),
+                                      strategy_rates(clean, kinds))
+
     def test_every_kind_evaluates(self):
         sinr = _sinrs(sd=2.0, ds=1.5, sr=5.0, rd=4.0, dr=3.0, rs=6.0,
                       sr2=2.0, r2d=3.0)
