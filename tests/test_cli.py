@@ -1,20 +1,28 @@
 import dataclasses
 import hashlib
+import io
+import itertools
 import os
 
+import hypothesis
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from relaysim import cli, montecarlo
 from relaysim.cli import (
     CliError,
     Settings,
     dump_config,
+    format_cdf_csv,
+    format_sweep_csv,
     main,
     parse_config_file,
     resolve_settings,
 )
+from relaysim.montecarlo import EmpiricalCdf, SummaryStats
 from relaysim.scenario import ScenarioConfig
-from relaysim.strategies import StrategyKind
+from relaysim.strategies import ALL_STRATEGIES, StrategyKind
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -174,6 +182,14 @@ class TestSettingsSurface:
         assert options == self.FLAGS | {"-h", "--help", "--config",
                                         "--dump-config"}
 
+    def test_parser_reuse_carries_nothing_over(self):
+        first, _ = resolve_settings(["--trials", "7", "--seed", "3",
+                                     "--mode", "cdf", "--distance", "40"])
+        assert (first.trials, first.seed, first.mode, first.distance_m) \
+            == (7, 3, "cdf", 40.0)
+        assert resolve_settings([]) == (Settings(), False)
+        assert cli._build_parser() is cli._build_parser()
+
     def test_every_scenario_field_is_a_key(self):
         assert {f.name for f in dataclasses.fields(ScenarioConfig)} \
             <= self.KEYS
@@ -275,6 +291,80 @@ class TestRunModes:
         assert all(row.split(",")[1] == "0.000000" for row in rows)
 
 
+def _cdf_rows(cdfs) -> str:
+    """The cdf CSV as one f-string per row, in the CSV's order."""
+    rows = ["strategy,spectral_efficiency,cdf\n"]
+    for kind in sorted(cdfs, key=lambda k: k.value):
+        samples = cdfs[kind].sorted_samples.tolist()
+        n = len(samples)
+        rows += [f"{kind.value},{v:.6f},{i / n:.6f}\n"
+                 for i, v in enumerate(samples, start=1)]
+    return "".join(rows)
+
+
+def _sweep_rows(results) -> str:
+    """The sweep CSV as one f-string per row, in the CSV's order."""
+    lines = ["strategy,distance_m,mean_se,p10_se,p50_se,p90_se"]
+    for kind, d in sorted(results, key=lambda kd: (kd[0].value, kd[1])):
+        s = results[(kind, d)]
+        lines.append(f"{kind.value},{d:g},{s.mean:.6f},{s.p10:.6f},"
+                     f"{s.p50:.6f},{s.p90:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_rows(got: str, want: str) -> None:
+    """Equal texts, else a failure naming the first row that differs:
+    pytest's diff of two whole CSVs would take minutes to build."""
+    if got == want:
+        return
+    for row, (g, w) in enumerate(itertools.zip_longest(
+            got.splitlines(True), want.splitlines(True))):
+        assert g == w, f"row {row}: {g!r} != {w!r}"
+
+
+class TestCsvFormat:
+    """The formatters give the bytes of the per-row f-strings."""
+
+    # one row short of, at, and one and two rows past a chunk boundary
+    SIZES = (1, cli.CDF_ROWS_PER_WRITE - 1, cli.CDF_ROWS_PER_WRITE,
+             cli.CDF_ROWS_PER_WRITE + 1, 2 * cli.CDF_ROWS_PER_WRITE + 1)
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @given(sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.floats(0.0, 1e6), max_size=8))
+    def test_cdf_matches_row_formula(self, sizes, seed, extra):
+        rng = np.random.default_rng(seed)
+        cdfs = {}
+        for kind, n in zip(ALL_STRATEGIES, sizes):
+            values = rng.uniform(0.0, 30.0, n)
+            pick = rng.integers(0, 4, n)
+            # near and exact ties at the sixth decimal, and zeros
+            values[pick == 1] = np.round(values[pick == 1], 6) + 0.5e-6
+            values[pick == 2] = (2 * rng.integers(
+                0, 3840, (pick == 2).sum()) + 1) / 128
+            values[pick == 3] = 0.0
+            values[:len(extra)] = extra[:n]
+            cdfs[kind] = EmpiricalCdf.from_samples(values)
+        fh = io.StringIO()
+        format_cdf_csv(cdfs, fh)
+        _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(ALL_STRATEGIES), min_size=1,
+                          unique=True),
+           stats=st.lists(st.floats(0.0, 1e3), min_size=4, max_size=40))
+    def test_sweep_matches_row_formula(self, kinds, stats):
+        # 1e6 m is printed in exponent form by g
+        distances = (0.001, 12.5, 99.999999999, 1e6)
+        results = {}
+        for k, key in enumerate((kind, d) for kind in kinds
+                                for d in distances):
+            results[key] = SummaryStats(
+                *(stats[(4 * k + j) % len(stats)] for j in range(4)))
+        _assert_same_rows(format_sweep_csv(results), _sweep_rows(results))
+
+
 class TestFailureModes:
     def test_invalid_flag_value_exits_nonzero(self, capsys):
         rc = main(["--mode", "sweep", "--lstep", "-1", "--trials", "1"])
@@ -314,6 +404,10 @@ _GOLDEN = {
     "config": (["--mode", "cdf", "--distance", "40", "--blocked-direct",
                 "--trials", "300", "--seed", "2"],
                "6012a866d78d8887a9714447059d4fa625c7be093ba09963824e5cd8fc4a4034"),
+    # more trials than CDF_ROWS_PER_WRITE: every strategy takes two chunks
+    "cdf_chunks": (["--mode", "cdf", "--distance", "70", "--trials", "4500",
+                    "--seed", "5"],
+                   "fe768d2b2abc5f1da6dcbf01e2399a3d0a88ebd378db60b6bc1d079a31889dfd"),
 }
 
 
