@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Callable, TextIO
 
 import numpy as np
@@ -254,13 +255,14 @@ def format_sweep_csv(results) -> str:
     """The sweep CSV. All rows are formatted by one `%` call, so the loop
     over rows runs in C, not as Python code per row; `%g` and `%.6f`
     give the same text as `:g` and `:.6f`."""
-    keys = sorted(results, key=lambda kd: (kd[0].value, kd[1]))
+    rows = sorted([(kind.value, distance, s)
+                   for (kind, distance), s in results.items()],
+                  key=itemgetter(0, 1))
     values = []
-    for kind, distance in keys:
-        s = results[(kind, distance)]
-        values += (kind.value, distance, s.mean, s.p10, s.p50, s.p90)
+    for name, distance, s in rows:
+        values += (name, distance, s.mean, s.p10, s.p50, s.p90)
     return ("strategy,distance_m,mean_se,p10_se,p50_se,p90_se\n"
-            + "%s,%g,%.6f,%.6f,%.6f,%.6f\n" * len(keys) % tuple(values))
+            + "%s,%g,%.6f,%.6f,%.6f,%.6f\n" * len(rows) % tuple(values))
 
 
 def format_cdf_csv(cdfs, fh: TextIO) -> None:

@@ -6,15 +6,15 @@ so any range of whole blocks can be evaluated anywhere and give the same
 bytes. The draws do not depend on the distance (scenario.draw_block).
 propagation.link_sinrs places a block at one distance or at several in
 one numpy pass: a whole block goes one distance at a time, a block of
-fewer trials at as many distances as fit into BLOCK_TRIALS rows. A run
-(one point, a sweep or a CDF) opens at most one process pool. Its work
-items are ranges of whole blocks over every distance of the run, a few
-per process; an item draws each of its blocks once, for all distances. A
-run of fewer than two blocks, and a serial run, is one item evaluated in
-this process. The results come back in item order and are stacked per
-distance, in trial order, before any aggregation, so results are
-bit-identical for any worker count. A sweep aggregates each point with
-one sort over its (strategies, trials) table.
+fewer trials at as many distances as fit into 2 * BLOCK_TRIALS - 1 rows.
+A run (one point, a sweep or a CDF) opens at most one process pool. Its
+work items are ranges of whole blocks over every distance of the run, a
+few per process; an item draws each of its blocks once, for all
+distances. A run of fewer than two blocks, and a serial run, is one item
+evaluated in this process. The results come back in item order and are
+stacked per distance, in trial order, before any aggregation, so results
+are bit-identical for any worker count. A sweep aggregates each point
+with one sort over its (strategies, trials) table.
 """
 
 from __future__ import annotations
@@ -123,17 +123,19 @@ def _item_tables(configs: Sequence[ScenarioConfig], start: int, stop: int,
     Draws do not depend on the distance, so each block is drawn once and
     kept for all configs; a one-config item draws each block as it
     evaluates it and keeps nothing. A block of `rows` trials is placed at
-    max(1, BLOCK_TRIALS // rows) consecutive distances per call, and its
-    rates at the later ones are kept until their tables are filled: a
-    short block (a run of few trials) costs one numpy pass per
-    BLOCK_TRIALS rows, not one per distance, and a whole block is placed
-    at one distance at a time, so no array grows. A larger row budget
-    would pack whole blocks too, and raise the peak memory of a run:
-    bench/memory_probe.py at sweep_w1's memory size (10 points x 1000
-    trials, 2-vCPU host) read medians of 5 runs of 6.95 MiB at 256 rows,
-    7.48 MiB (+7.7%) at 512 and 8.07 MiB (+16%) at 1024 with the modules
-    compiled at import, and 7.48, 7.98 (+6.7%) and 8.56 MiB (+14.5%)
-    with fresh .pyc files."""
+    max(1, (2 * BLOCK_TRIALS - 1) // rows) consecutive distances per
+    call, and its rates at the later ones are kept until their tables are
+    filled: a short block (a run of few trials, or a short last block)
+    costs one numpy pass per up to 2 * BLOCK_TRIALS - 1 rows, not one per
+    distance. A whole block is placed at one distance at a time, so only
+    one short block's packed rates are ever kept. bench/memory_probe.py
+    at sweep_w1's memory size (10 points x 1000 trials, whose 232-trial
+    last block goes two distances per call; 2-vCPU host), medians of 7
+    runs with the modules compiled at import: 6.95 MiB at a 256-row
+    budget with every interferer slot's power computed, 7.08 MiB (+1.9%)
+    at this budget, and, packing whole blocks too, 7.17 MiB (+3.2%) at
+    512 rows and 7.56 MiB (+8.9%) at 1024; with fresh .pyc files 7.54,
+    7.66 (+1.6%), 7.63 (+1.2%) and 8.01 MiB (+6.2%)."""
     distances = np.array([c.distance_m for c in configs])
     blocks = (draw_block(configs[0], first, min(first + BLOCK_TRIALS, stop))
               for first in range(start, stop, BLOCK_TRIALS))
@@ -143,7 +145,7 @@ def _item_tables(configs: Sequence[ScenarioConfig], start: int, stop: int,
     for i in range(len(configs)):
         out = np.empty((len(kinds), stop - start))
         for first, block in zip(range(0, stop - start, BLOCK_TRIALS), blocks):
-            group = max(1, BLOCK_TRIALS // len(block.carrier_mhz))
+            group = max(1, (2 * BLOCK_TRIALS - 1) // len(block.carrier_mhz))
             if i % group == 0:
                 rates = strategy_rates(link_sinrs(
                     block, configs[0], distances[i:i + group]), kinds)

@@ -98,21 +98,28 @@ def interference_mw(block: "TrialBlock", config: "ScenarioConfig",
 
     Only interferers occupying the trial's channel contribute; each enters
     through its own path loss and Rayleigh gain and is treated as extra
-    Gaussian noise. The sum runs over the interferer axis, which is not
-    the last one, so each node's terms are added in interferer order.
+    Gaussian noise. The co-channel (trial, interferer) pairs are found
+    once, for every distance, and only their powers are computed (padding
+    has carrier 0, so it is never one). They are added into zeros in
+    trial-major, interferer order, so each node's terms are still added
+    in interferer order, and 0.0 + p == p keeps every sum's bits.
     """
     trials, n = block.interferer_mhz.shape
     L = config.distance_m if distance_m is None else distance_m
-    offset = place(block.interferer_u, L)[..., None, :] \
-        - node_positions(block, L)[..., None, :, :]
-    pl = path_loss_db(block.carrier_mhz[:, None, None],
+    total = np.zeros(np.shape(L) + (trials, 4))
+    t, k = np.nonzero(block.interferer_mhz == block.carrier_mhz[:, None])
+    if not t.size:  # path_loss_db's np.min cannot take an empty array
+        return total
+    offset = place(block.interferer_u[t, k], L)[..., None, :] \
+        - node_positions(block, L)[..., t, :, :]
+    pl = path_loss_db(block.carrier_mhz[t, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
-    fading = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4)
+    fading = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4)[t, k]
     power = received_mw(config.interferer_power_dbm,
                         2.0 * config.antenna_gain_db, pl, fading)
-    cochannel = block.interferer_mhz == block.carrier_mhz[:, None]
-    return np.where(cochannel[..., None], power, 0.0).sum(axis=-2)
+    np.add.at(total, (..., t, slice(None)), power)
+    return total
 
 
 def link_sinrs(block: "TrialBlock", config: "ScenarioConfig",

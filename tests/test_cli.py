@@ -408,6 +408,17 @@ _GOLDEN = {
     "cdf_chunks": (["--mode", "cdf", "--distance", "70", "--trials", "4500",
                     "--seed", "5"],
                    "fe768d2b2abc5f1da6dcbf01e2399a3d0a88ebd378db60b6bc1d079a31889dfd"),
+    # 46 points of 50 trials, placed 10 distances per call, among 4-12
+    # interferers: some trials sum two co-channel terms
+    "sweep_cochannel": (["--mode", "sweep", "--trials", "50", "--lstep", "2",
+                         "--seed", "3"],
+                        "f8825d46b40ddb656071b7358e64487de7f00fb0fbd1fac886fb7ae3056cbfea"),
+}
+# config-file text of the cases that read one
+_GOLDEN_CONFIG = {
+    "config": "interferer_min = 0\ninterferer_max = 6\ntx_power_dbm = 3\n"
+              "path_loss_coeff_db_per_decade = 30\n",
+    "sweep_cochannel": "interferer_min = 4\ninterferer_max = 12\n",
 }
 
 
@@ -415,11 +426,8 @@ _GOLDEN = {
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
 def test_golden_digest(tmp_path, case, workers):
     argv, digest = _GOLDEN[case]
-    if case == "config":
-        argv = argv + ["--config", _write(
-            tmp_path, "interferer_min = 0\ninterferer_max = 6\n"
-                      "tx_power_dbm = 3\n"
-                      "path_loss_coeff_db_per_decade = 30\n")]
+    if case in _GOLDEN_CONFIG:
+        argv = argv + ["--config", _write(tmp_path, _GOLDEN_CONFIG[case])]
     out = tmp_path / "out.csv"
     assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -291,22 +291,26 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_packed_distances_match_run_point(self, workers, monkeypatch):
-        # a 100-trial block is placed at two distances per call: 23 points
-        # make 11 pairs and a remainder of one
+        # a short block is placed at as many distances per call as fit into
+        # 2 * BLOCK_TRIALS - 1 rows: 23 points of 100 trials make four
+        # calls of five and a remainder of three; sweep_w1's 10 points of
+        # 50 trials make one call
         cfg = ScenarioConfig(seed=45, interferer_min=0, interferer_max=5)
-        distances = tuple(float(L) for L in range(12, 104, 4))
-        assert len(distances) == 23
         calls = self._count_placements(monkeypatch)
-        swept = run_sweep(cfg, distances, 100, workers=workers)
-        assert calls == [2] * 11 + [1]
-        tables = montecarlo._tables(montecarlo._points(cfg, distances), 100,
-                                    ALL_STRATEGIES, workers)
-        for d, table in zip(distances, tables):
-            alone = run_point(replace(cfg, distance_m=d), 100)
-            for j, kind in enumerate(ALL_STRATEGIES):
-                np.testing.assert_array_equal(table[:, j], alone[kind])
-                assert swept[(kind, d)] == \
-                    SummaryStats.from_samples(alone[kind])
+        for points, trials, placements in ((23, 100, [5, 5, 5, 5, 3]),
+                                           (10, 50, [10])):
+            distances = tuple(float(L) for L in range(12, 12 + 4 * points, 4))
+            calls.clear()
+            swept = run_sweep(cfg, distances, trials, workers=workers)
+            assert calls == placements
+            tables = montecarlo._tables(montecarlo._points(cfg, distances),
+                                        trials, ALL_STRATEGIES, workers)
+            for d, table in zip(distances, tables):
+                alone = run_point(replace(cfg, distance_m=d), trials)
+                for j, kind in enumerate(ALL_STRATEGIES):
+                    np.testing.assert_array_equal(table[:, j], alone[kind])
+                    assert swept[(kind, d)] == \
+                        SummaryStats.from_samples(alone[kind])
 
     def test_whole_blocks_are_not_packed(self, monkeypatch):
         cfg = ScenarioConfig(seed=45)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from relaysim.propagation import (
 )
 from relaysim.scenario import (
     D,
+    PAYLOAD_PAIRS,
     ScenarioConfig,
     TrialBlock,
     channel_frequency,
@@ -249,3 +251,83 @@ class TestDistanceAxis:
         assert link_sinrs(block, cfg).shape == (7, 8)
         np.testing.assert_array_equal(link_sinrs(block, cfg),
                                       link_sinrs(block, cfg, 70.0))
+
+
+def _dense_interference_mw(block, config, distance_m=None):
+    """Reference for interference_mw: the power of every (trial,
+    interferer slot, node), padding included, masked to the co-channel
+    slots and summed over the interferer axis."""
+    trials, n = block.interferer_mhz.shape
+    L = config.distance_m if distance_m is None else distance_m
+    offset = place(block.interferer_u, L)[..., None, :] \
+        - node_positions(block, L)[..., None, :, :]
+    pl = path_loss_db(block.carrier_mhz[:, None, None],
+                      np.hypot(offset[..., 0], offset[..., 1]),
+                      config.path_loss_coeff_db_per_decade)
+    fading = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4)
+    power = received_mw(config.interferer_power_dbm,
+                        2.0 * config.antenna_gain_db, pl, fading)
+    cochannel = block.interferer_mhz == block.carrier_mhz[:, None]
+    return np.where(cochannel[..., None], power, 0.0).sum(axis=-2)
+
+
+class TestInterferenceOracle:
+    """interference_mw computes only the co-channel pairs, yet equals the
+    dense reference bit for bit, sign bits included."""
+
+    DISTANCES = [None, 0.5 * MIN_DISTANCE_M, 70.0,
+                 np.array([0.5 * MIN_DISTANCE_M, 10.0, 37.3, 100.0])]
+
+    def _assert_matches(self, block, cfg):
+        for d in self.DISTANCES:
+            got = interference_mw(block, cfg, d)
+            want = _dense_interference_mw(block, cfg, d)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("scenario", [
+        {},
+        {"interferer_min": 0, "interferer_max": 6},
+        {"interferer_min": 9, "interferer_max": 12},
+        {"interferer_power_dbm": float("-inf")},
+    ], ids=["default", "zero_to_six", "twelve", "no_power"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_drawn_blocks(self, scenario, seed):
+        cfg = ScenarioConfig(seed=seed, **scenario)
+        self._assert_matches(draw_block(cfg, 0, 256), cfg)
+        self._assert_matches(draw_block(cfg, 17, 67), cfg)
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_all_cochannel_over_twelve_decades(self, n):
+        # every slot on the link's channel and the fading of the slots
+        # spread over 12 decades, in a different order per trial, so the
+        # order of the additions shows in the bits (two terms commute,
+        # hence n >= 3)
+        cfg = ScenarioConfig(seed=7, interferer_min=n, interferer_max=n)
+        block = draw_block(cfg, 0, 64)
+        rng = np.random.default_rng(n)
+        scale = rng.permuted(np.tile(np.logspace(-6, 6, n), (64, 1)), axis=1)
+        forced = replace(
+            block,
+            interferer_mhz=np.repeat(block.carrier_mhz[:, None], n, axis=1),
+            fading=np.concatenate(
+                (block.fading[:, :len(PAYLOAD_PAIRS)],
+                 (block.fading[:, len(PAYLOAD_PAIRS):].reshape(64, n, 4)
+                  * scale[..., None]).reshape(64, 4 * n)), axis=1))
+        self._assert_matches(forced, cfg)
+
+    @pytest.mark.parametrize("n", [0, 12])
+    def test_no_cochannel_interferer_gives_exact_zeros(self, n):
+        cfg = ScenarioConfig(seed=8, interferer_min=n, interferer_max=n)
+        block = draw_block(cfg, 0, 40)
+        # every interferer one channel above the link's (2480 MHz is
+        # channel 26, so it moves down to 2475)
+        off = np.where(block.carrier_mhz < 2480.0, 5.0, -5.0)
+        quiet = replace(block, interferer_mhz=np.repeat(
+            (block.carrier_mhz + off)[:, None], n, axis=1))
+        self._assert_matches(quiet, cfg)
+        for d, shape in ((None, (40, 4)), (np.array([5.0, 50.0]), (2, 40, 4))):
+            total = interference_mw(quiet, cfg, d)
+            assert total.shape == shape
+            assert not total.any() and not np.signbit(total).any()
