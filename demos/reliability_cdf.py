@@ -10,6 +10,8 @@ Run:
 
 import argparse
 
+import numpy as np
+
 from relaysim import ScenarioConfig, StrategyKind, percentile, run_cdf
 
 STRATEGIES = (
@@ -41,6 +43,9 @@ def main():
         print(f"{kind.value:>16} {p10:8.3f} {p50:8.3f} {p90:8.3f} "
               f"{spread:14.2f}")
 
+    # Step data of each CDF: the i-th (1-based) of n sorted values at i / n.
+    steps = {kind: (cdf, np.arange(1, cdf.size + 1) / cdf.size)
+             for kind, cdf in cdfs.items()}
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -50,10 +55,7 @@ def main():
         return
     fig, ax = plt.subplots(figsize=(7, 4.5))
     for kind in STRATEGIES:
-        cdf = cdfs[kind]
-        ax.step(cdf.sorted_samples,
-                [i / cdf.n for i in range(1, cdf.n + 1)],
-                where="post", label=kind.value)
+        ax.step(*steps[kind], where="post", label=kind.value)
     ax.set_xlabel("spectral efficiency [bits/s/Hz]")
     ax.set_ylabel("empirical CDF")
     title = "blocked direct link" if args.blocked else "direct available"

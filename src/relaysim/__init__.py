@@ -2,7 +2,6 @@
 in a smart-grid neighborhood area network."""
 
 from .montecarlo import (
-    EmpiricalCdf,
     SummaryStats,
     percentile,
     run_cdf,
@@ -14,7 +13,6 @@ from .scenario import (
     RNG_CONTRACT,
     ScenarioConfig,
     TrialBlock,
-    channel_frequency,
     draw_block,
 )
 from .strategies import (
@@ -38,13 +36,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_STRATEGIES",
     "RNG_CONTRACT",
-    "EmpiricalCdf",
     "ScenarioConfig",
     "StrategyKind",
     "SummaryStats",
     "TrialBlock",
     "af_equivalent_snr",
-    "channel_frequency",
     "draw_block",
     "link_sinrs",
     "path_loss_db",

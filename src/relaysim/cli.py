@@ -266,8 +266,9 @@ def format_sweep_csv(results) -> str:
 
 
 def format_cdf_csv(cdfs, fh: TextIO) -> None:
-    """Write the cdf CSV to fh, CDF_ROWS_PER_WRITE rows at a time, so the
-    text of all rows is never held at once.
+    """Write the cdf CSV of run_cdf's sorted rows to fh,
+    CDF_ROWS_PER_WRITE rows at a time, so the text of all rows is never
+    held at once.
 
     Each chunk is formatted by one `%` call on the interleaved
     (value, i / n) floats of its rows, so the loop over rows runs in C,
@@ -276,7 +277,7 @@ def format_cdf_csv(cdfs, fh: TextIO) -> None:
     as `:.6f`."""
     fh.write("strategy,spectral_efficiency,cdf\n")
     for kind in sorted(cdfs, key=lambda k: k.value):
-        row, samples = kind.value + ",%.6f,%.6f\n", cdfs[kind].sorted_samples
+        row, samples = kind.value + ",%.6f,%.6f\n", cdfs[kind]
         n = samples.size
         for first in range(0, n, CDF_ROWS_PER_WRITE):
             chunk = samples[first:first + CDF_ROWS_PER_WRITE]

@@ -39,12 +39,6 @@ def dbm_to_mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0:
-        raise ValueError("power in mW must be positive")
-    return 10.0 * math.log10(mw)
-
-
 def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float = 28.0):
     """ITU indoor path loss in dB, zero floor-penetration term.
 

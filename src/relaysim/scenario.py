@@ -47,18 +47,9 @@ PAYLOAD_PAIRS = ((S, D), (S, R1), (R1, D), (S, R2), (R2, D))
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def channel_frequency(k: int) -> float:
-    """Center frequency in MHz of ZigBee channel index k (2405 + 5(k-11))."""
-    if not CHANNEL_INDEX_MIN <= k <= CHANNEL_INDEX_MAX:
-        raise ValueError(
-            f"channel index {k} outside valid range "
-            f"[{CHANNEL_INDEX_MIN}, {CHANNEL_INDEX_MAX}]"
-        )
-    return _center_mhz(k)
-
-
 def _center_mhz(k):
-    """channel_frequency without the range check; k may be an array."""
+    """Center frequency in MHz of ZigBee channel index k (2405 + 5(k-11));
+    k may be an array."""
     return 2405.0 + 5.0 * (k - CHANNEL_INDEX_MIN)
 
 

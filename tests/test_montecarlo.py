@@ -1,13 +1,14 @@
 
+import io
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from relaysim import montecarlo
+from relaysim.cli import format_cdf_csv
 from relaysim.montecarlo import (
-    EmpiricalCdf,
-    SummaryStats,
     percentile,
     run_cdf,
     run_point,
@@ -43,36 +44,53 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def _stats(samples):
+    """SummaryStats of one row of samples, as run_sweep aggregates it."""
+    (stats,) = montecarlo._summaries(np.sort(samples)[None])
+    return stats
+
+
 class TestEmpiricalCdf:
+    """The CDF the cdf mode writes: run_cdf's sorted row, with F = i / n
+    at its i-th (1-based) of n samples, read back as F(x), the cdf column
+    of the last row whose value is <= x (0 before the first row)."""
+
+    @staticmethod
+    def _cdf(samples):
+        fh = io.StringIO()
+        format_cdf_csv({StrategyKind.DIRECT: np.sort(samples)}, fh)
+        rows = [tuple(map(float, row.split(",")[1:]))
+                for row in fh.getvalue().splitlines()[1:]]
+        return lambda x: max((f for v, f in rows if v <= x), default=0.0)
+
     def test_basic(self):
-        cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
-        assert cdf.n == 3
-        assert cdf.cdf_at(2.0) == pytest.approx(2 / 3)
-        assert cdf.cdf_at(0.5) == 0.0
-        assert cdf.cdf_at(3.0) == 1.0
+        cdf = self._cdf([3.0, 1.0, 2.0])
+        assert cdf(2.0) == pytest.approx(2 / 3, abs=1e-6)
+        assert cdf(0.5) == 0.0
+        assert cdf(3.0) == 1.0
 
     def test_right_continuity(self):
-        cdf = EmpiricalCdf.from_samples([1.0, 1.0, 2.0])
-        assert cdf.cdf_at(1.0) == pytest.approx(2 / 3)
-        assert cdf.cdf_at(1.0 - 1e-12) == 0.0
+        cdf = self._cdf([1.0, 1.0, 2.0])
+        assert cdf(1.0) == pytest.approx(2 / 3, abs=1e-6)
+        assert cdf(1.0 - 1e-12) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            EmpiricalCdf.from_samples([])
+            run_cdf(ScenarioConfig(), 0)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(0)
-        cdf = EmpiricalCdf.from_samples(rng.exponential(1.0, 500))
-        xs = np.linspace(-1, 10, 200)
-        values = [cdf.cdf_at(x) for x in xs]
+        samples = rng.exponential(1.0, 500)
+        cdf = self._cdf(samples)
+        values = [cdf(x) for x in np.linspace(-1, 10, 200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] == 0.0
-        assert cdf.cdf_at(float(cdf.sorted_samples[-1])) == 1.0
+        assert cdf(round(samples.max(), 6)) == 1.0
 
 
 class TestPercentile:
     def test_single_sample(self):
-        cdf = EmpiricalCdf.from_samples([5.0])
+        cdf = np.array([5.0])
         assert percentile(cdf, 50) == 5.0
         assert percentile(cdf, 0) == 5.0
         assert percentile(cdf, 100) == 5.0
@@ -80,29 +98,31 @@ class TestPercentile:
     def test_nearest_rank_on_permutation(self):
         rng = np.random.default_rng(1)
         samples = rng.permutation(np.arange(1, 101)).astype(float)
-        cdf = EmpiricalCdf.from_samples(samples)
+        cdf = np.sort(samples)
         assert percentile(cdf, 90) == 90.0
         assert percentile(cdf, 10) == 10.0
         assert percentile(cdf, 50) == 50.0
         assert percentile(cdf, 100) == 100.0
 
     def test_out_of_range(self):
-        cdf = EmpiricalCdf.from_samples([1.0])
+        cdf = np.array([1.0])
         with pytest.raises(ValueError):
             percentile(cdf, -1)
         with pytest.raises(ValueError):
             percentile(cdf, 101)
+        with pytest.raises(ValueError):
+            percentile(np.array([]), 50)
 
 
 class TestSummaryStats:
     def test_single_sample_collapses(self):
-        s = SummaryStats.from_samples(np.array([2.5]))
+        s = _stats(np.array([2.5]))
         assert s.mean == s.p10 == s.p50 == s.p90 == 2.5
         assert s.spread == 0.0
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(2)
-        s = SummaryStats.from_samples(rng.exponential(1.0, 1000))
+        s = _stats(rng.exponential(1.0, 1000))
         assert s.p10 <= s.p50 <= s.p90
         assert s.spread >= 0.0
 
@@ -160,11 +180,12 @@ class TestRunPoint:
         cfg = ScenarioConfig(distance_m=60.0, seed=24,
                              interferer_min=0, interferer_max=4)
         n = 2 * montecarlo.BLOCK_TRIALS + 7
-        (whole,) = montecarlo._run_item((cfg,), 0, n, ALL_STRATEGIES)
+        at = np.array([cfg.distance_m])
+        (whole,) = montecarlo._run_item(cfg, at, 0, n, ALL_STRATEGIES)
         cuts = [0, 5, montecarlo.BLOCK_TRIALS + 3, n]
-        pieces = [montecarlo._run_item((cfg,), a, b, ALL_STRATEGIES)[0]
+        pieces = [montecarlo._run_item(cfg, at, a, b, ALL_STRATEGIES)[0]
                   for a, b in zip(cuts, cuts[1:])]
-        np.testing.assert_array_equal(whole, np.vstack(pieces))
+        np.testing.assert_array_equal(whole, np.hstack(pieces))
 
     def test_worker_count_invariance(self):
         cfg = ScenarioConfig(distance_m=60.0, seed=22)
@@ -249,15 +270,13 @@ class TestRunSweep:
         distances = (15.0, 40.0, 85.0)
         trials = 2 * montecarlo.BLOCK_TRIALS + 7
         swept = run_sweep(cfg, distances, trials, workers=workers)
-        tables = montecarlo._tables(
-            [replace(cfg, distance_m=d) for d in distances], trials,
-            ALL_STRATEGIES, workers)
+        tables = montecarlo._tables(cfg, distances, trials, ALL_STRATEGIES,
+                                    workers)
         for d, table in zip(distances, tables):
             alone = run_point(replace(cfg, distance_m=d), trials)
             for j, kind in enumerate(ALL_STRATEGIES):
-                np.testing.assert_array_equal(table[:, j], alone[kind])
-                assert swept[(kind, d)] == \
-                    SummaryStats.from_samples(alone[kind])
+                np.testing.assert_array_equal(table[j], alone[kind])
+                assert swept[(kind, d)] == _stats(alone[kind])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_draws_each_block_once(self, workers, pool_sizes,
@@ -303,14 +322,13 @@ class TestRunSweep:
             calls.clear()
             swept = run_sweep(cfg, distances, trials, workers=workers)
             assert calls == placements
-            tables = montecarlo._tables(montecarlo._points(cfg, distances),
-                                        trials, ALL_STRATEGIES, workers)
+            tables = montecarlo._tables(cfg, distances, trials,
+                                        ALL_STRATEGIES, workers)
             for d, table in zip(distances, tables):
                 alone = run_point(replace(cfg, distance_m=d), trials)
                 for j, kind in enumerate(ALL_STRATEGIES):
-                    np.testing.assert_array_equal(table[:, j], alone[kind])
-                    assert swept[(kind, d)] == \
-                        SummaryStats.from_samples(alone[kind])
+                    np.testing.assert_array_equal(table[j], alone[kind])
+                    assert swept[(kind, d)] == _stats(alone[kind])
 
     def test_whole_blocks_are_not_packed(self, monkeypatch):
         cfg = ScenarioConfig(seed=45)
@@ -332,8 +350,10 @@ class TestRunSweep:
             run_sweep(cfg, (10.0, 10.0), 10)
         with pytest.raises(ValueError):
             run_sweep(cfg, (20.0, 10.0), 10)
-        with pytest.raises(ValueError):
-            run_sweep(cfg, (-5.0, 10.0), 10)
+        for distances in ((-5.0, 10.0), (10.0, math.inf)):
+            with pytest.raises(ValueError, match="^distance_m must be "
+                               "positive and finite$"):
+                run_sweep(cfg, distances, 10)
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
@@ -347,11 +367,14 @@ class TestRunSweep:
 class TestRunCdf:
     def test_cdf_sizes(self):
         cfg = ScenarioConfig(distance_m=70.0, seed=2)
-        cdfs = run_cdf(cfg, 80, (StrategyKind.DIRECT,
-                                 StrategyKind.DF_SINGLE))
-        for cdf in cdfs.values():
-            assert cdf.n == 80
-            assert np.all(np.diff(cdf.sorted_samples) >= 0)
+        kinds = (StrategyKind.DIRECT, StrategyKind.DF_SINGLE)
+        for workers in (1, 2):
+            cdfs = run_cdf(cfg, 80, kinds, workers=workers)
+            rates = run_point(cfg, 80, kinds, workers=workers)
+            for kind in kinds:
+                assert cdfs[kind].shape == (80,)
+                np.testing.assert_array_equal(cdfs[kind],
+                                              np.sort(rates[kind]))
 
     def test_rejects_empty_strategies(self):
         with pytest.raises(ValueError, match="at least one strategy"):
