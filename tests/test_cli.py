@@ -413,6 +413,10 @@ _GOLDEN = {
     "sweep_cochannel": (["--mode", "sweep", "--trials", "50", "--lstep", "2",
                          "--seed", "3"],
                         "f8825d46b40ddb656071b7358e64487de7f00fb0fbd1fac886fb7ae3056cbfea"),
+    # 4 points of 600 trials: two whole blocks and an 88-trial last block
+    "sweep_tail": (["--mode", "sweep", "--trials", "600", "--lstep", "30",
+                    "--seed", "7"],
+                   "e64ce865ae10a4bb49984a87acba6930580ace03cd426b709246ce651a1ada24"),
 }
 # config-file text of the cases that read one
 _GOLDEN_CONFIG = {
