@@ -5,8 +5,8 @@ Trials come in the fixed blocks of the RNG contract
 so any range of whole blocks can be evaluated anywhere and give the same
 bytes. The draws do not depend on the distance (scenario.draw_block).
 propagation.link_sinrs places a block at one distance or at several in
-one numpy pass: a whole block goes one distance at a time, a block of
-fewer trials at as many distances as fit into 2 * BLOCK_TRIALS - 1 rows.
+one numpy pass: a work item of one short block at as many distances as
+fit into 2 * BLOCK_TRIALS - 1 rows, any other item at one per call.
 A run (one point, a sweep or a CDF) opens at most one process pool. Its
 work items are ranges of whole blocks over every distance of the run, a
 few per process; an item draws each of its blocks once, for all
@@ -92,40 +92,21 @@ def _item_tables(config: ScenarioConfig, distances: np.ndarray, start: int,
     stop) at each of the distances, which replace config.distance_m, in
     order; all strategies of a trial share its draw.
 
-    Draws do not depend on the distance, so each block is drawn once and
-    kept for all distances; a one-distance item draws each block as it
-    evaluates it and keeps nothing. A block of `rows` trials is placed at
-    max(1, (2 * BLOCK_TRIALS - 1) // rows) consecutive distances per
-    call, and its rates at the later ones are kept until their tables are
-    filled: a short block (a run of few trials, or a short last block)
-    costs one numpy pass per up to 2 * BLOCK_TRIALS - 1 rows, not one per
-    distance. A whole block is placed at one distance at a time, so only
-    one short block's packed rates are ever kept. bench/memory_probe.py
-    at sweep_w1's memory size (10 points x 1000 trials, whose 232-trial
-    last block goes two distances per call; 2-vCPU host), medians of 7
-    runs with the modules compiled at import: 6.95 MiB at a 256-row
-    budget with every interferer slot's power computed, 7.08 MiB (+1.9%)
-    at this budget, and, packing whole blocks too, 7.17 MiB (+3.2%) at
-    512 rows and 7.56 MiB (+8.9%) at 1024; with fresh .pyc files 7.54,
-    7.66 (+1.6%), 7.63 (+1.2%) and 8.01 MiB (+6.2%)."""
+    The distances go in groups of max(1, (2 * BLOCK_TRIALS - 1) // rows),
+    rows being the item's trials up to one block, one call per group and
+    block. Each block is drawn once, and kept if a later group needs it."""
+    group = max(1, (2 * BLOCK_TRIALS - 1) // min(stop - start, BLOCK_TRIALS))
     blocks = (draw_block(config, first, min(first + BLOCK_TRIALS, stop))
               for first in range(start, stop, BLOCK_TRIALS))
-    if len(distances) > 1:
+    if len(distances) > group:
         blocks = list(blocks)
-    packed = {}  # a short block's first row -> its rates at the group
-    for i in range(len(distances)):
-        out = np.empty((len(kinds), stop - start))
+    for i in range(0, len(distances), group):
+        at = distances[i:i + group]
+        out = np.empty((len(at), len(kinds), stop - start))
         for first, block in zip(range(0, stop - start, BLOCK_TRIALS), blocks):
-            group = max(1, (2 * BLOCK_TRIALS - 1) // len(block.carrier_mhz))
-            if i % group == 0:
-                rates = strategy_rates(link_sinrs(
-                    block, config, distances[i:i + group]), kinds)
-                if group > 1:
-                    packed[first] = rates
-            else:
-                rates = packed[first]
-            out[:, first:first + BLOCK_TRIALS] = rates[i % group].T
-        yield out
+            rates = strategy_rates(link_sinrs(block, config, at), kinds)
+            out[..., first:first + BLOCK_TRIALS] = rates.transpose(0, 2, 1)
+        yield from out
 
 
 def _run_item(config: ScenarioConfig, distances: np.ndarray, start: int,
@@ -139,7 +120,7 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
             ) -> Iterator[np.ndarray]:
     """The C-contiguous (len(kinds), trials) table of trials 0..trials-1
     at each of distances_m, which replace config.distance_m, in order.
-    Each table is a new array, its caller's own.
+    Each table is its caller's own: no other table shares its memory.
 
     A work item is a range of whole BLOCK_TRIALS blocks over every
     distance, up to ITEMS_PER_WORKER items per process. One pool serves

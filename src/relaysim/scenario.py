@@ -18,6 +18,7 @@ So one block serves every distance point of a sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.blocked_direct, bool):
+            raise ValueError("blocked_direct must be a boolean")
+        for name in ("interferer_min", "interferer_max", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or \
+                    not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if not (math.isfinite(self.distance_m) and self.distance_m > 0):
             raise ValueError("distance_m must be positive and finite")
         if not 0 <= self.interferer_min <= self.interferer_max:

@@ -330,17 +330,46 @@ class TestRunSweep:
                     np.testing.assert_array_equal(table[j], alone[kind])
                     assert swept[(kind, d)] == _stats(alone[kind])
 
-    def test_whole_blocks_are_not_packed(self, monkeypatch):
+    def test_group_size_is_per_item(self, pool_sizes, monkeypatch):
         cfg = ScenarioConfig(seed=45)
         distances = tuple(float(L) for L in range(12, 104, 4))
         calls = self._count_placements(monkeypatch)
         b = montecarlo.BLOCK_TRIALS
         run_sweep(cfg, distances, b, (StrategyKind.DIRECT,))
         assert calls == [1] * 23
-        # whole blocks one distance at a time, the 7-row tail at all three
+        # a multi-block item goes one distance per call, its short last
+        # block too
         calls.clear()
         run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,))
-        assert calls == [1, 1, 3, 1, 1, 1, 1]
+        assert calls == [1] * 9
+        # at two workers each block is an item: the 7-row tail item packs
+        # all three distances into one call
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        calls.clear()
+        run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,),
+                  workers=2)
+        assert pool_sizes == [2]
+        assert calls == [1, 1, 1, 1, 1, 1, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tables_are_contiguous_and_disjoint(self, workers, monkeypatch):
+        # _sorted sorts each table in place and _summaries takes each
+        # row's pairwise mean: both need every table C-contiguous and
+        # sharing no memory with another
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = ScenarioConfig(seed=46)
+        b = montecarlo.BLOCK_TRIALS
+        for points, trials in ((10, 50), (3, 2 * b + 7)):
+            distances = tuple(float(L) for L in range(10, 10 + 10 * points,
+                                                      10))
+            tables = list(montecarlo._tables(cfg, distances, trials,
+                                             ALL_STRATEGIES, workers))
+            assert len(tables) == points
+            for i, table in enumerate(tables):
+                assert table.shape == (len(ALL_STRATEGIES), trials)
+                assert table.flags.c_contiguous
+                for other in tables[:i]:
+                    assert not np.shares_memory(table, other)
 
     def test_rejects_bad_distances(self):
         cfg = ScenarioConfig()

@@ -81,6 +81,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="interferer_min and"):
             ScenarioConfig(interferer_min=-1, interferer_max=2)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("blocked_direct", "no", "blocked_direct must be a boolean"),
+        ("blocked_direct", 1, "blocked_direct must be a boolean"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("interferer_min", 1.0, "interferer_min must be an integer"),
+        ("interferer_max", 2.5, "interferer_max must be an integer"),
+    ])
+    def test_rejects_mistyped_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScenarioConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = ScenarioConfig(seed=np.uint64(2**63), interferer_max=np.int64(4))
+        assert (cfg.seed, cfg.interferer_max) == (2**63, 4)
+
     def test_rejects_nonfinite_power(self):
         with pytest.raises(ValueError):
             ScenarioConfig(tx_power_dbm=float("nan"))
