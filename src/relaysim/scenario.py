@@ -37,7 +37,8 @@ BLOCK_TRIALS = 256
 RNG_CONTRACT = (f"v2: PCG64(SeedSequence(entropy=seed, spawn_key=(block,))) "
                 f"per block of {BLOCK_TRIALS} trials")
 
-# Node rows of the positions propagation.link_sinrs places.
+# Node rows of the positions propagation.link_sinrs places; interferer
+# slot j follows them as row 4 + j.
 S, D, R1, R2 = range(4)
 
 # Node pairs whose links carry payload for at least one strategy, in the

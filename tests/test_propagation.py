@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from relaysim import propagation
 from relaysim.propagation import (
     DS,
     MIN_DISTANCE_M,
@@ -106,6 +107,13 @@ def _sinr(block, cfg, link):
     return link_sinrs(block, cfg)[0, link]
 
 
+def _interference_mw(block, cfg, distance_m=None):
+    """interference_mw of the block placed at distance_m (default
+    cfg.distance_m)."""
+    L = cfg.distance_m if distance_m is None else distance_m
+    return interference_mw(block, cfg, node_positions(block, L))
+
+
 class TestLinkSinr:
     def test_noise_limited_budget(self):
         # |h| = 1, no interference, 10 m: rx = 0 + 5 - 67.62 = -62.62 dBm;
@@ -153,7 +161,7 @@ class TestLinkSinr:
         cfg = ScenarioConfig(distance_m=10.0)
 
         def at_d(*interferers):
-            return interference_mw(_unit_fading_block(10.0, interferers),
+            return _interference_mw(_unit_fading_block(10.0, interferers),
                                    cfg)[0, D]
 
         both, only1, only2 = at_d(i1, i2), at_d(i1), at_d(i2)
@@ -189,12 +197,12 @@ class TestBuildLinkSet:
     def test_powers_nonnegative_and_noise_floor(self):
         cfg = ScenarioConfig(distance_m=70.0, seed=9)
         block = draw_block(cfg, 8, 9)
-        assert np.all(interference_mw(block, cfg) >= 0.0)
+        assert np.all(_interference_mw(block, cfg) >= 0.0)
         sinr = link_sinrs(block, cfg)
         assert np.all(sinr >= 0.0) and np.all(np.isfinite(sinr))
         quiet = ScenarioConfig(distance_m=70.0, seed=9,
                                interferer_power_dbm=float("-inf"))
-        assert not interference_mw(block, quiet).any()  # noise alone
+        assert not _interference_mw(block, quiet).any()  # noise alone
 
 
 class TestDistanceAxis:
@@ -221,8 +229,8 @@ class TestDistanceAxis:
         np.testing.assert_array_equal(
             link_sinrs(block, cfg, self.DISTANCES), stacked)
         np.testing.assert_array_equal(
-            interference_mw(block, cfg, self.DISTANCES),
-            np.stack([interference_mw(block, cfg, d)
+            _interference_mw(block, cfg, self.DISTANCES),
+            np.stack([_interference_mw(block, cfg, d)
                       for d in self.DISTANCES]))
 
     def test_place_and_node_positions(self):
@@ -232,7 +240,7 @@ class TestDistanceAxis:
                 place(u, self.DISTANCES),
                 np.stack([place(u, d) for d in self.DISTANCES]))
         nodes = node_positions(block, self.DISTANCES)
-        assert nodes.shape == (len(self.DISTANCES), 40, 4, 2)
+        assert nodes.shape == (len(self.DISTANCES), 40, 4 + 5, 2)
         np.testing.assert_array_equal(
             nodes, np.stack([node_positions(block, d)
                              for d in self.DISTANCES]))
@@ -241,11 +249,27 @@ class TestDistanceAxis:
         block = draw_block(ScenarioConfig(seed=33), 0, 7)
         cfg = ScenarioConfig(seed=33)
         assert place(block.relay_u, 70.0).shape == (7, 2, 2)
-        assert node_positions(block, 70.0).shape == (7, 4, 2)
-        assert interference_mw(block, cfg).shape == (7, 4)
+        assert node_positions(block, 70.0).shape == (7, 4 + 3, 2)
+        assert _interference_mw(block, cfg).shape == (7, 4)
         assert link_sinrs(block, cfg).shape == (7, 8)
         np.testing.assert_array_equal(link_sinrs(block, cfg),
                                       link_sinrs(block, cfg, 70.0))
+
+    @pytest.mark.parametrize("distance", [70.0, DISTANCES])
+    def test_nodes_placed_once_per_call(self, monkeypatch, distance):
+        # the interference sum reads the positions link_sinrs placed
+        cfg = ScenarioConfig(seed=34, interferer_min=12, interferer_max=12)
+        block = draw_block(cfg, 0, 50)
+        assert (block.interferer_mhz == block.carrier_mhz[:, None]).any()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return node_positions(*args)
+
+        monkeypatch.setattr(propagation, "node_positions", counted)
+        link_sinrs(block, cfg, distance)
+        assert len(calls) == 1
 
 
 def _dense_interference_mw(block, config, distance_m=None):
@@ -255,7 +279,7 @@ def _dense_interference_mw(block, config, distance_m=None):
     trials, n = block.interferer_mhz.shape
     L = config.distance_m if distance_m is None else distance_m
     offset = place(block.interferer_u, L)[..., None, :] \
-        - node_positions(block, L)[..., None, :, :]
+        - node_positions(block, L)[..., None, :4, :]
     pl = path_loss_db(block.carrier_mhz[:, None, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
@@ -275,7 +299,7 @@ class TestInterferenceOracle:
 
     def _assert_matches(self, block, cfg):
         for d in self.DISTANCES:
-            got = interference_mw(block, cfg, d)
+            got = _interference_mw(block, cfg, d)
             want = _dense_interference_mw(block, cfg, d)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
@@ -323,6 +347,6 @@ class TestInterferenceOracle:
             (block.carrier_mhz + off)[:, None], n, axis=1))
         self._assert_matches(quiet, cfg)
         for d, shape in ((None, (40, 4)), (np.array([5.0, 50.0]), (2, 40, 4))):
-            total = interference_mw(quiet, cfg, d)
+            total = _interference_mw(quiet, cfg, d)
             assert total.shape == shape
             assert not total.any() and not np.signbit(total).any()
