@@ -34,8 +34,9 @@ CHANNEL_INDEX_MAX = 26
 # (stream set-up and numpy's per-call cost are spread over more trials),
 # while both raised sweep_w1's peak RSS about as much (2.4% and 2.7%).
 BLOCK_TRIALS = 256
-RNG_CONTRACT = (f"v2: PCG64(SeedSequence(entropy=seed, spawn_key=(block,))) "
-                f"per block of {BLOCK_TRIALS} trials")
+RNG_CONTRACT = (f"v3: PCG64(SeedSequence(entropy=seed, spawn_key=(block,))) "
+                f"per block of {BLOCK_TRIALS} trials, Exp(1) link power "
+                f"gains")
 
 # Node rows of the positions propagation.link_sinrs places; interferer
 # slot j follows them as row 4 + j.
@@ -46,21 +47,11 @@ S, D, R1, R2 = range(4)
 # a single carrier), so one gain per pair serves both directions.
 PAYLOAD_PAIRS = ((S, D), (S, R1), (R1, D), (S, R2), (R2, D))
 
-_SQRT_HALF = math.sqrt(0.5)
-
 
 def _center_mhz(k):
     """Center frequency in MHz of ZigBee channel index k (2405 + 5(k-11));
     k may be an array."""
     return 2405.0 + 5.0 * (k - CHANNEL_INDEX_MIN)
-
-
-def power_gain(normals):
-    """|h|^2 of the Rayleigh gain h = (re + j*im) / sqrt(2), E|h|^2 = 1,
-    from the standard-normal pairs (re, im) on the last axis of
-    `normals`."""
-    h = np.hypot(normals[..., 0] * _SQRT_HALF, normals[..., 1] * _SQRT_HALF)
-    return h * h
 
 
 @dataclass(frozen=True)
@@ -121,9 +112,9 @@ class TrialBlock:
     Channel draws are stored as carrier frequencies. Interferer arrays
     have interferer_max columns; a trial that drew fewer interferers has
     padding in the rest: carrier 0 and zero fading, so it adds no
-    interference. `fading` holds each link's power gain |h|^2: the
-    PAYLOAD_PAIRS first, then, per interferer, its links to S, D, R1 and
-    R2.
+    interference. `fading` holds each link's power gain |h|^2 of
+    unit-mean Rayleigh fading, which is Exp(1): the PAYLOAD_PAIRS first,
+    then, per interferer, its links to S, D, R1 and R2.
     """
 
     carrier_mhz: np.ndarray     # (B,) the link's channel
@@ -148,8 +139,8 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
       3. B interferer counts ~ U{interferer_min..n}
       4. (B, n, 2) interferer position variates ~ U[0, 1)
       5. (B, n) interferer channel indices ~ U{11..26}
-      6. (B, 5 + 4n, 2) fading normals: the payload pairs, then per
-         interferer its links to S, D, R1 and R2
+      6. (B, 5 + 4n) link power gains |h|^2 ~ Exp(1): the payload
+         pairs, then per interferer its links to S, D, R1 and R2
     A trial's interferers beyond its count are padding: carrier 0 and
     zero fading (their position variates are drawn but unused). Two
     relays are always drawn so that every strategy sees the same channel
@@ -171,19 +162,19 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
                       rng.integers(lo, hi + 1, BLOCK_TRIALS),
                       rng.random((BLOCK_TRIALS, hi, 2)),
                       rng.integers(*channels, (BLOCK_TRIALS, hi)),
-                      rng.standard_normal((BLOCK_TRIALS, links, 2))))
+                      rng.standard_exponential((BLOCK_TRIALS, links))))
     # The integer draws are converted to floats, which hold them exactly,
     # before any arithmetic: integer comparisons and mixed-type arithmetic
     # page in 64-128 KiB more of numpy's code each, which shows in the
     # peak memory of a run.
     rows = slice(start - first * BLOCK_TRIALS, stop - first * BLOCK_TRIALS)
-    carrier_k, relay_u, count, interferer_u, interferer_k, normals = (
+    carrier_k, relay_u, count, interferer_u, interferer_k, gains = (
         (np.concatenate(arrays) if len(drawn) > 1 else arrays[0])[rows]
         .astype(float, copy=False) for arrays in zip(*drawn))
     count = count[:, None]
     interferer_mhz = np.where(np.arange(hi) < count,
                               _center_mhz(interferer_k), 0.0)
     fading = np.where(np.arange(links) < len(PAYLOAD_PAIRS) + 4 * count,
-                      power_gain(normals), 0.0)
+                      gains, 0.0)
     return TrialBlock(_center_mhz(carrier_k), relay_u, interferer_u,
                       interferer_mhz, fading)

@@ -17,19 +17,21 @@ from scipy import stats as scipy_stats
 from relaysim.cli import main
 from relaysim.montecarlo import percentile, run_cdf, run_sweep
 from relaysim.propagation import dbm_to_mw, node_positions, path_loss_db
-from relaysim.scenario import R1, ScenarioConfig, draw_block, power_gain
+from relaysim.scenario import R1, ScenarioConfig, draw_block
 from relaysim.strategies import ALL_STRATEGIES, StrategyKind, \
     af_equivalent_snr, rate_af_single, rate_df_single, twoway_af_snrs
 
 from signal_oracles import af_hop_snr, twoway_af_snrs as oracle_twoway
+from test_propagation import _payload_gains
 
 DISTANCES = tuple(float(L) for L in range(10, 101, 10))
 TRIALS = 10_000
 SEED = 2012
 
 
-def _verdict(num, name, ok):
-    print(f"\nACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}")
+def _verdict(num, name, ok, detail=""):
+    print(f"\nACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}"
+          + (f" ({detail})" if detail else ""))
     return ok
 
 
@@ -81,8 +83,13 @@ def test_criterion_3_relaying_gain_at_every_distance(default_sweep):
     ok = all(a > d for a, d in zip(af, direct)) \
         and all(x > d for x, d in zip(df, direct)) \
         and elapsed < 60.0
+    margins = []
+    for name, relayed in (("af_single", af), ("df_single", df)):
+        gain = [(r - d, L) for r, d, L in zip(relayed, direct, DISTANCES)]
+        margins.append("{} - direct: worst {:+.2f} at {:g} m, best {:+.2f} "
+                       "at {:g} m".format(name, *min(gain), *max(gain)))
     assert _verdict(3, "AF/DF single relay beat direct at every distance",
-                    ok)
+                    ok, "; ".join(margins) + " bits/s/Hz")
 
 
 def test_criterion_4_two_relay_df_tracks_single_relay_df(default_sweep):
@@ -105,7 +112,10 @@ def test_criterion_5_twoway_df_crossover(default_sweep):
     ok = below_at_small and above_at_large \
         and crossover is not None and 20.0 <= crossover <= 60.0
     assert _verdict(5, "two-way DF / direct-exchange crossover in "
-                       "[20, 60] m", ok)
+                       "[20, 60] m", ok,
+                    f"twoway_df - direct_exchange: {diff[0]:+.2f} at "
+                    f"{DISTANCES[0]:g} m, {diff[-1]:+.2f} at "
+                    f"{DISTANCES[-1]:g} m bits/s/Hz")
 
 
 def test_criterion_6_twoway_af_beats_unidirectional_exchange(default_sweep):
@@ -161,9 +171,8 @@ def test_criterion_9_invariant_suite():
     pl = [path_loss_db(2440.0, d) for d in np.linspace(1, 500, 200)]
     ok &= all(b > a for a, b in zip(pl, pl[1:]))
 
-    # fading |h|^2 ~ exponential(1)
-    rng = np.random.default_rng(3)
-    h2 = power_gain(rng.standard_normal((1_000_000, 2)))
+    # the payload links' fading |h|^2 ~ exponential(1)
+    h2 = _payload_gains(3, 1_000_000)
     ok &= scipy_stats.kstest(h2, "expon").statistic < 0.005
     ok &= abs(h2.mean() - 1.0) < 0.005
 
@@ -187,7 +196,7 @@ def test_criterion_9_invariant_suite():
                 ok &= rate_df_single(g_sd, g_sr, g_rd + 1) >= base_df
 
     # CDF validity
-    s = np.sort(rng.exponential(1.0, 1000))
+    s = np.sort(np.random.default_rng(3).exponential(1.0, 1000))
 
     def cdf_at(x):
         return np.searchsorted(s, x, side="right") / s.size

@@ -394,29 +394,29 @@ class TestFailureModes:
 
 
 # sha256 of the CSV each run writes. These pin the output bytes of the
-# RNG contract (scenario.RNG_CONTRACT, v2); they change only with a
+# RNG contract (scenario.RNG_CONTRACT, v3); they change only with a
 # deliberate contract change.
 _GOLDEN = {
     "sweep": (["--mode", "sweep", "--trials", "200", "--seed", "1"],
-              "941539a722c17b54f4be9097807f852f83a8877e1c59ea9394a9fe4c379ccc27"),
+              "38700ceb15dfa39d5c6e74ddfb089aef6c4e5acd8faa0461e1a2942fb39e2043"),
     "cdf": (["--mode", "cdf", "--trials", "500", "--seed", "1"],
-            "8edb94df15c394d13a914df9de7244dbc68fb82fbfa2ad1cb3f45afd5085e41b"),
+            "6e13e06bab7cc1ed2232fff788806c0e22b9e4139d71bfc701dfa41b86a4a3bd"),
     "config": (["--mode", "cdf", "--distance", "40", "--blocked-direct",
                 "--trials", "300", "--seed", "2"],
-               "6012a866d78d8887a9714447059d4fa625c7be093ba09963824e5cd8fc4a4034"),
+               "b4a71755359dd20e26dcd70b6545e4af92c17dfbbdbd67f28fa40a99754b0ff8"),
     # more trials than CDF_ROWS_PER_WRITE: every strategy takes two chunks
     "cdf_chunks": (["--mode", "cdf", "--distance", "70", "--trials", "4500",
                     "--seed", "5"],
-                   "fe768d2b2abc5f1da6dcbf01e2399a3d0a88ebd378db60b6bc1d079a31889dfd"),
+                   "ffa649b359c017eecf3109d7975d15cfa42f7a239f9f5d670b5782005e86b15c"),
     # 46 points of 50 trials, placed 10 distances per call, among 4-12
     # interferers: some trials sum two co-channel terms
     "sweep_cochannel": (["--mode", "sweep", "--trials", "50", "--lstep", "2",
                          "--seed", "3"],
-                        "f8825d46b40ddb656071b7358e64487de7f00fb0fbd1fac886fb7ae3056cbfea"),
+                        "1439f3cde119680d4c1dff687f79f75e2e3107c22c84b6f832d8efd61a50c42a"),
     # 4 points of 600 trials: two whole blocks and an 88-trial last block
     "sweep_tail": (["--mode", "sweep", "--trials", "600", "--lstep", "30",
                     "--seed", "7"],
-                   "e64ce865ae10a4bb49984a87acba6930580ace03cd426b709246ce651a1ada24"),
+                   "58e361be29ad0e6c785802d13fbd72c510bece3d117cd6f3972962e93a5d2f67"),
 }
 # config-file text of the cases that read one
 _GOLDEN_CONFIG = {

@@ -18,7 +18,6 @@ from relaysim.scenario import (
     ScenarioConfig,
     draw_block,
     _center_mhz,
-    power_gain,
 )
 
 CARRIERS_MHZ = [_center_mhz(k)
@@ -40,7 +39,7 @@ def _reference_block(cfg, b):
     return (rng.integers(11, 27, B), rng.uniform(low, high, (B, 2, 2)),
             rng.integers(cfg.interferer_min, n + 1, B),
             rng.uniform(low, high, (B, n, 2)), rng.integers(11, 27, (B, n)),
-            rng.standard_normal((B, 5 + 4 * n, 2)))
+            rng.standard_exponential((B, 5 + 4 * n)))
 
 
 def _drawn(block, t):
@@ -156,7 +155,7 @@ class TestSampling:
         blocks = {b: _reference_block(cfg, b) for b in (0, 1)}
         for t in range(40):
             b, row = divmod(first + t, BLOCK_TRIALS)
-            k, relays, counts, positions, ks, normals = blocks[b]
+            k, relays, counts, positions, ks, gains = blocks[b]
             assert block.carrier_mhz[t] == _center_mhz(k[row])
             np.testing.assert_array_equal(nodes[t, [R1, R2]], relays[row])
             n = counts[row]
@@ -167,7 +166,7 @@ class TestSampling:
                     ks[row, j])
             assert not block.interferer_mhz[t, n:].any()
             np.testing.assert_array_equal(block.fading[t, :5 + 4 * n],
-                                          power_gain(normals[row, :5 + 4 * n]))
+                                          gains[row, :5 + 4 * n])
             assert not block.fading[t, 5 + 4 * n:].any()
 
     @pytest.mark.parametrize("start, stop", [(5, 5), (4, 2), (-1, 3)])
@@ -238,9 +237,9 @@ class TestBlockStream:
     def test_known_answer(self):
         # pins the contract: a changed stream, block size or draw order
         # changes these values and must bump RNG_CONTRACT
-        assert RNG_CONTRACT == ("v2: PCG64(SeedSequence(entropy=seed, "
+        assert RNG_CONTRACT == ("v3: PCG64(SeedSequence(entropy=seed, "
                                 "spawn_key=(block,))) per block of 256 "
-                                "trials")
+                                "trials, Exp(1) link power gains")
         cfg = ScenarioConfig(seed=2012)
         expected = {
             0: (2465.0, [0.6861902945124969, 0.8981197538163238,
@@ -254,6 +253,10 @@ class TestBlockStream:
             block = draw_block(cfg, t, t + 1)
             assert block.carrier_mhz[0] == carrier
             assert block.relay_u[0].ravel().tolist() == relay_u
+        # the payload gains of trial 0: draw 6, after the five others
+        assert draw_block(cfg, 0, 1).fading[0, :5].tolist() == [
+            0.4137363350632603, 2.211358169808917, 0.23952554382992566,
+            1.0330739588375935, 2.241492255760416]
 
     def test_distance_change_keeps_unit_draws(self):
         # the draws do not depend on the distance: link_sinrs places them
