@@ -36,7 +36,7 @@ CHANNEL_INDEX_MAX = 26
 BLOCK_TRIALS = 256
 RNG_CONTRACT = (f"v3: PCG64(SeedSequence(entropy=seed, spawn_key=(block,))) "
                 f"per block of {BLOCK_TRIALS} trials, Exp(1) link power "
-                f"gains")
+                "gains")
 
 # Node rows of the positions propagation.link_sinrs places; interferer
 # slot j follows them as row 4 + j.
