@@ -73,24 +73,22 @@ def place(u: np.ndarray, distance_m) -> np.ndarray:
 
 
 def node_positions(block: "TrialBlock", distance_m) -> np.ndarray:
-    """Positions in m of each trial's nodes S, D, R1, R2, then its
-    interferer slots, shape (B, 4 + n, 2), or (G, B, 4 + n, 2) at a 1-D
-    array of G distances: S at the origin, D at (L, 0), the relays and
-    interferers placed in the box."""
+    """S, D, R1, R2 positions in m of each trial, shape (B, 4, 2), or
+    (G, B, 4, 2) at a 1-D array of G distances: S at the origin, D at
+    (L, 0), the relays placed in the box."""
     lead = np.shape(distance_m)
-    xy = np.zeros(lead + (len(block.carrier_mhz),
-                          4 + block.interferer_u.shape[1], 2))
+    xy = np.zeros(lead + (len(block.carrier_mhz), 4, 2))
+    xy[..., R1:, :] = place(block.relay_u, distance_m)
     xy[..., D, 0] = np.reshape(distance_m, lead + (1,))
-    xy[..., R1:4, :] = place(block.relay_u, distance_m)
-    xy[..., 4:, :] = place(block.interferer_u, distance_m)
     return xy
 
 
 def interference_mw(block: "TrialBlock", config: "ScenarioConfig",
-                    node_xy: np.ndarray) -> np.ndarray:
+                    node_xy: np.ndarray, distance_m) -> np.ndarray:
     """Aggregate interference power in mW at each node of the block
-    placed at node_xy (node_positions), shape (B, 4), or (G, B, 4) at G
-    distances, with node columns S, D, R1, R2.
+    placed at distance_m, whose node_positions are node_xy, shape (B, 4),
+    or (G, B, 4) at a 1-D array of G distances, with node columns S, D,
+    R1, R2.
 
     Only interferers occupying the trial's channel contribute; each enters
     through its own path loss and Rayleigh gain and is treated as extra
@@ -105,7 +103,8 @@ def interference_mw(block: "TrialBlock", config: "ScenarioConfig",
     t, k = np.nonzero(block.interferer_mhz == block.carrier_mhz[:, None])
     if not t.size:  # path_loss_db's np.min cannot take an empty array
         return total
-    offset = node_xy[..., t, 4 + k, None, :] - node_xy[..., t, :4, :]
+    offset = place(block.interferer_u[t, k], distance_m)[..., None, :] \
+        - node_xy[..., t, :, :]
     pl = path_loss_db(block.carrier_mhz[t, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
@@ -135,4 +134,4 @@ def link_sinrs(block: "TrialBlock", config: "ScenarioConfig",
         signal[..., PAYLOAD_PAIRS.index((S, D))] = 0.0
     noise = dbm_to_mw(config.noise_power_dbm)
     return signal[..., _LINK_PAIR] / (
-        interference_mw(block, config, node_xy)[..., _LINK_RX] + noise)
+        interference_mw(block, config, node_xy, L)[..., _LINK_RX] + noise)

@@ -38,8 +38,7 @@ RNG_CONTRACT = (f"v3: PCG64(SeedSequence(entropy=seed, spawn_key=(block,))) "
                 f"per block of {BLOCK_TRIALS} trials, Exp(1) link power "
                 "gains")
 
-# Node rows of the positions propagation.link_sinrs places; interferer
-# slot j follows them as row 4 + j.
+# Node rows of the positions propagation.link_sinrs places.
 S, D, R1, R2 = range(4)
 
 # Node pairs whose links carry payload for at least one strategy, in the

@@ -29,6 +29,8 @@ from relaysim.scenario import (
     draw_block,
 )
 
+from signal_oracles import payload_gains
+
 
 class TestPathLoss:
     def test_one_meter(self):
@@ -69,24 +71,16 @@ class TestDbConversions:
             dbm, rel=1e-9, abs=1e-9)
 
 
-def _payload_gains(seed, samples):
-    """The first `samples` payload-link power gains |h|^2 draw_block
-    makes, trial by trial."""
-    trials = samples // len(PAYLOAD_PAIRS)
-    block = draw_block(ScenarioConfig(seed=seed), 0, trials)
-    return block.fading[:, :len(PAYLOAD_PAIRS)].ravel()
-
-
 class TestFading:
     """|h|^2 as draw_block draws it for the payload links."""
 
     def test_unit_mean_square(self):
-        h2 = _payload_gains(0, 200_000)
+        h2 = payload_gains(0, 200_000)
         assert h2.size == 200_000
         assert abs(h2.mean() - 1.0) < 0.005
 
     def test_magnitude_squared_exponential(self):
-        h2 = _payload_gains(1, 1_000_000)
+        h2 = payload_gains(1, 1_000_000)
         assert h2.size == 1_000_000
         ks = stats.kstest(h2, "expon").statistic
         assert ks < 0.005
@@ -118,7 +112,7 @@ def _interference_mw(block, cfg, distance_m=None):
     """interference_mw of the block placed at distance_m (default
     cfg.distance_m)."""
     L = cfg.distance_m if distance_m is None else distance_m
-    return interference_mw(block, cfg, node_positions(block, L))
+    return interference_mw(block, cfg, node_positions(block, L), L)
 
 
 class TestLinkSinr:
@@ -246,7 +240,7 @@ class TestDistanceAxis:
                 place(u, self.DISTANCES),
                 np.stack([place(u, d) for d in self.DISTANCES]))
         nodes = node_positions(block, self.DISTANCES)
-        assert nodes.shape == (len(self.DISTANCES), 40, 4 + 5, 2)
+        assert nodes.shape == (len(self.DISTANCES), 40, 4, 2)
         np.testing.assert_array_equal(
             nodes, np.stack([node_positions(block, d)
                              for d in self.DISTANCES]))
@@ -255,7 +249,7 @@ class TestDistanceAxis:
         block = draw_block(ScenarioConfig(seed=33), 0, 7)
         cfg = ScenarioConfig(seed=33)
         assert place(block.relay_u, 70.0).shape == (7, 2, 2)
-        assert node_positions(block, 70.0).shape == (7, 4 + 3, 2)
+        assert node_positions(block, 70.0).shape == (7, 4, 2)
         assert _interference_mw(block, cfg).shape == (7, 4)
         assert link_sinrs(block, cfg).shape == (7, 8)
         np.testing.assert_array_equal(link_sinrs(block, cfg),
@@ -285,7 +279,7 @@ def _dense_interference_mw(block, config, distance_m=None):
     trials, n = block.interferer_mhz.shape
     L = config.distance_m if distance_m is None else distance_m
     offset = place(block.interferer_u, L)[..., None, :] \
-        - node_positions(block, L)[..., None, :4, :]
+        - node_positions(block, L)[..., None, :, :]
     pl = path_loss_db(block.carrier_mhz[:, None, None],
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
