@@ -3,10 +3,13 @@
 These simulate actual complex baseband symbols through the relay chains
 and measure the end-to-end SNR empirically (via the correlation of the
 received signal with the transmitted symbols), with no reference to the
-closed-form SNR expressions they are used to check.
+closed-form SNR expressions they are used to check. payload_gains
+samples the engine's own fading draws for the tests of their law.
 """
 
 import numpy as np
+
+from relaysim.scenario import PAYLOAD_PAIRS, ScenarioConfig, draw_block
 
 
 def _cn(rng, n):
@@ -56,3 +59,11 @@ def twoway_af_snrs(g_a, g_b, n_symbols=1_000_000, seed=1234):
     resid_a = y_at_a - np.sqrt(g_a) * amp * np.sqrt(g_a) * x_a
     resid_b = y_at_b - np.sqrt(g_b) * amp * np.sqrt(g_b) * x_b
     return _measured_snr(resid_a, x_b), _measured_snr(resid_b, x_a)
+
+
+def payload_gains(seed, samples):
+    """The first `samples` payload-link power gains |h|^2 draw_block
+    makes, trial by trial."""
+    trials = samples // len(PAYLOAD_PAIRS)
+    block = draw_block(ScenarioConfig(seed=seed), 0, trials)
+    return block.fading[:, :len(PAYLOAD_PAIRS)].ravel()

@@ -21,8 +21,8 @@ from relaysim.scenario import R1, ScenarioConfig, draw_block
 from relaysim.strategies import ALL_STRATEGIES, StrategyKind, \
     af_equivalent_snr, rate_af_single, rate_df_single, twoway_af_snrs
 
-from signal_oracles import af_hop_snr, twoway_af_snrs as oracle_twoway
-from test_propagation import _payload_gains
+from signal_oracles import af_hop_snr, payload_gains, \
+    twoway_af_snrs as oracle_twoway
 
 DISTANCES = tuple(float(L) for L in range(10, 101, 10))
 TRIALS = 10_000
@@ -172,7 +172,7 @@ def test_criterion_9_invariant_suite():
     ok &= all(b > a for a, b in zip(pl, pl[1:]))
 
     # the payload links' fading |h|^2 ~ exponential(1)
-    h2 = _payload_gains(3, 1_000_000)
+    h2 = payload_gains(3, 1_000_000)
     ok &= scipy_stats.kstest(h2, "expon").statistic < 0.005
     ok &= abs(h2.mean() - 1.0) < 0.005
 

@@ -14,6 +14,7 @@ check passes when |z| < Z_BOUND against the engine's own standard error.
 import math
 
 import numpy as np
+import pytest
 from scipy.special import exp1
 
 from relaysim.montecarlo import run_point
@@ -49,18 +50,21 @@ def _z(estimate, truth, se):
     return (estimate - truth) / se
 
 
-def test_direct_mean_matches_ergodic_rayleigh_rate():
-    se_direct = run_point(QUIET, TRIALS, (StrategyKind.DIRECT,))[
+@pytest.fixture(scope="module")
+def se_direct():
+    """The direct link's spectral efficiency in TRIALS quiet trials."""
+    return run_point(QUIET, TRIALS, (StrategyKind.DIRECT,))[
         StrategyKind.DIRECT]
+
+
+def test_direct_mean_matches_ergodic_rayleigh_rate(se_direct):
     inv = 1.0 / _mean_snrs(QUIET)
     truth = np.mean(np.exp(inv) * exp1(inv)) / math.log(2.0)
     z = _z(se_direct.mean(), truth, se_direct.std(ddof=1) / TRIALS ** 0.5)
     assert abs(z) < Z_BOUND, (se_direct.mean(), truth, z)
 
 
-def test_direct_outage_matches_closed_form():
-    se_direct = run_point(QUIET, TRIALS, (StrategyKind.DIRECT,))[
-        StrategyKind.DIRECT]
+def test_direct_outage_matches_closed_form(se_direct):
     truth = np.mean(1.0 - np.exp(-(2.0 ** RATE - 1.0) / _mean_snrs(QUIET)))
     p = np.mean(se_direct < RATE)
     z = _z(p, truth, math.sqrt(p * (1.0 - p) / TRIALS))
