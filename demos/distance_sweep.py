@@ -68,10 +68,11 @@ def main():
     blocked = sweep(True, args.trials)
     print_table(available, "Mean spectral efficiency, direct available")
     print_table(blocked, "Mean spectral efficiency, direct blocked")
-    print("\nNote the half-duplex price of relaying: at short distances "
-          "the direct link's high SNR wins despite the relays' combining "
-          "gain, while the blocked-direct case shows relaying providing "
-          "all of the coverage.")
+    print("\nNote the half-duplex price of relaying: while the direct "
+          "link is available, direct transmission beats every relaying "
+          "strategy at every distance of the sweep at this power budget, "
+          "despite the relays' combining gain; when it is blocked, "
+          "relaying provides all of the coverage.")
     maybe_plot(available, blocked)
 
 

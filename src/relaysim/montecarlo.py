@@ -3,20 +3,18 @@
 Trials come in the fixed blocks of the RNG contract
 (scenario.BLOCK_TRIALS), each drawn from its own derived random stream,
 so any range of whole blocks can be evaluated anywhere and give the same
-bytes. The draws do not depend on the distance (scenario.draw_block).
+bytes. The draws do not depend on the distance (scenario.draw_block), so
 propagation.link_sinrs places a block at one distance or at several in
-one numpy pass: a work item of one short block at as many distances as
-fit into 2 * BLOCK_TRIALS - 1 rows, any other item at one per call.
-A run (one point, a sweep or a CDF) opens at most one process pool. Its
-work items are ranges of whole blocks over every distance of the run, a
-few per process; an item draws each of its blocks once, for all
-distances. A run of fewer than two blocks, and a serial run, is one item
-evaluated in this process. The results come back in item order and are
-joined per distance, in trial order, into one C-contiguous (strategies,
-trials) table per point before any aggregation, so results are
-bit-identical for any worker count. A sweep and a CDF sort each point's
-rows in place, once (_sorted): a sweep's summaries and a CDF's rows both
-read that sorted table.
+one numpy pass of at most ROWS trial-points. A run (one point, a sweep
+or a CDF) opens at most one process pool. Its work items are ranges of
+whole blocks over every distance of the run, a few per process; an item
+draws each of its blocks once, for all distances. A run of fewer than
+two blocks, and a serial run, is one item evaluated in this process. The
+results come back in item order and are joined per distance, in trial
+order, into one C-contiguous (strategies, trials) table per point before
+any aggregation, so results are bit-identical for any worker count. A
+sweep and a CDF sort each point's rows in place, once (_sorted): a
+sweep's summaries and a CDF's rows both read that sorted table.
 """
 
 from __future__ import annotations
@@ -37,6 +35,9 @@ from .strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 # Work items per pool process: several, so that processes finishing early
 # take over the rest, yet few, since each item costs a round trip.
 ITEMS_PER_WORKER = 4
+# Trial-points per numpy call. It must be a whole number of contract
+# blocks, or draw_block redraws the block at each call boundary.
+ROWS = 2 * BLOCK_TRIALS
 
 
 def _rank(p: float, n: int) -> int:
@@ -92,20 +93,20 @@ def _item_tables(config: ScenarioConfig, distances: np.ndarray, start: int,
     stop) at each of the distances, which replace config.distance_m, in
     order; all strategies of a trial share its draw.
 
-    The distances go in groups of max(1, (2 * BLOCK_TRIALS - 1) // rows),
-    rows being the item's trials up to one block, one call per group and
-    block. Each block is drawn once, and kept if a later group needs it."""
-    group = max(1, (2 * BLOCK_TRIALS - 1) // min(stop - start, BLOCK_TRIALS))
-    blocks = (draw_block(config, first, min(first + BLOCK_TRIALS, stop))
-              for first in range(start, stop, BLOCK_TRIALS))
+    Each call places rows = min(stop - start, ROWS) trials, drawn in one
+    range, at max(1, ROWS // rows) distances; a later group reuses them."""
+    rows = min(stop - start, ROWS)
+    group = max(1, ROWS // rows)
+    blocks = (draw_block(config, first, min(first + rows, stop))
+              for first in range(start, stop, rows))
     if len(distances) > group:
         blocks = list(blocks)
     for i in range(0, len(distances), group):
         at = distances[i:i + group]
         out = np.empty((len(at), len(kinds), stop - start))
-        for first, block in zip(range(0, stop - start, BLOCK_TRIALS), blocks):
+        for first, block in zip(range(0, stop - start, rows), blocks):
             rates = strategy_rates(link_sinrs(block, config, at), kinds)
-            out[..., first:first + BLOCK_TRIALS] = rates.transpose(0, 2, 1)
+            out[..., first:first + rows] = rates.transpose(0, 2, 1)
         yield from out
 
 
@@ -139,9 +140,8 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
                                for f in fields(ScenarioConfig)})
     distances = np.array(distances_m, dtype=float)
     workers = min(workers, os.cpu_count() or 1)
-    wanted = ITEMS_PER_WORKER * workers
     blocks = -(-trials // BLOCK_TRIALS)
-    step = -(-blocks // min(blocks, wanted)) * BLOCK_TRIALS
+    step = -(-blocks // min(blocks, ITEMS_PER_WORKER * workers)) * BLOCK_TRIALS
     starts = range(0, trials, step)
     workers = min(workers, len(starts))
     if workers <= 1:

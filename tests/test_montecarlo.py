@@ -282,6 +282,26 @@ class TestRunSweep:
     def test_sweep_draws_each_block_once(self, workers, pool_sizes,
                                          monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        drawn = self._count_draws(monkeypatch)
+        b = montecarlo.BLOCK_TRIALS
+        run_sweep(ScenarioConfig(seed=44),
+                  tuple(float(L) for L in range(10, 101, 10)), 2 * b + 7,
+                  workers=workers)
+        assert pool_sizes == ([] if workers == 1 else [2])
+        # whole blocks per draw, disjoint and covering every trial, so that
+        # no block is drawn twice
+        assert all(start % b == 0 for start, _ in drawn)
+        covered = [t for start, stop in sorted(drawn)
+                   for t in range(start, stop)]
+        assert covered == list(range(2 * b + 7))
+        blocks = [k for start, stop in drawn
+                  for k in range(start // b, -(-stop // b))]
+        assert len(blocks) == len(set(blocks)) == 3
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        """Trial ranges (start, stop) of montecarlo.draw_block calls, in
+        call order."""
         drawn = []
 
         def counting(config, start, stop):
@@ -289,12 +309,7 @@ class TestRunSweep:
             return draw_block(config, start, stop)
 
         monkeypatch.setattr(montecarlo, "draw_block", counting)
-        b = montecarlo.BLOCK_TRIALS
-        run_sweep(ScenarioConfig(seed=44),
-                  tuple(float(L) for L in range(10, 101, 10)), 2 * b + 7,
-                  workers=workers)
-        assert pool_sizes == ([] if workers == 1 else [2])
-        assert drawn == [(0, b), (b, 2 * b), (2 * b, 2 * b + 7)]
+        return drawn
 
     @staticmethod
     def _count_placements(monkeypatch):
@@ -310,8 +325,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_packed_distances_match_run_point(self, workers, monkeypatch):
-        # a short block is placed at as many distances per call as fit into
-        # 2 * BLOCK_TRIALS - 1 rows: 23 points of 100 trials make four
+        # an item of fewer than ROWS trials is placed at as many distances
+        # per call as fit into ROWS rows: 23 points of 100 trials make four
         # calls of five and a remainder of three; sweep_w1's 10 points of
         # 50 trials make one call
         cfg = ScenarioConfig(seed=45, interferer_min=0, interferer_max=5)
@@ -335,21 +350,50 @@ class TestRunSweep:
         distances = tuple(float(L) for L in range(12, 104, 4))
         calls = self._count_placements(monkeypatch)
         b = montecarlo.BLOCK_TRIALS
+        assert montecarlo.ROWS == 2 * b
+        # a one-block item packs ROWS // b = 2 distances per call
         run_sweep(cfg, distances, b, (StrategyKind.DIRECT,))
-        assert calls == [1] * 23
-        # a multi-block item goes one distance per call, its short last
-        # block too
+        assert calls == [2] * 11 + [1]
+        # a serial item of more than ROWS trials goes one distance per
+        # call, in calls of ROWS rows and its 7-row tail
+        drawn = self._count_draws(monkeypatch)
         calls.clear()
         run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,))
-        assert calls == [1] * 9
-        # at two workers each block is an item: the 7-row tail item packs
-        # all three distances into one call
+        assert drawn == [(0, 2 * b), (2 * b, 2 * b + 7)]
+        assert calls == [1] * 6
+        # at two workers each block is an item: the 256-row items pack two
+        # distances per call, and the 7-row tail item all three
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         calls.clear()
         run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,),
                   workers=2)
         assert pool_sizes == [2]
-        assert calls == [1, 1, 1, 1, 1, 1, 3]
+        assert calls == [2, 1, 2, 1, 3]
+
+    @pytest.mark.parametrize("rows", [1, 2, 4], ids=lambda k: f"{k}_blocks")
+    def test_tables_do_not_depend_on_rows(self, rows, pool_sizes,
+                                          monkeypatch):
+        # every row's bits are independent of the packing: any whole number
+        # of blocks per call gives the tables of the default ROWS, at one
+        # worker and at two (4 points of 600 trials: two whole blocks and
+        # an 88-trial tail)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = ScenarioConfig(seed=47, interferer_min=0, interferer_max=6)
+        distances = (15.0, 40.0, 65.0, 90.0)
+        expected = list(montecarlo._tables(cfg, distances, 600,
+                                           ALL_STRATEGIES, 1))
+        b = montecarlo.BLOCK_TRIALS
+        monkeypatch.setattr(montecarlo, "ROWS", rows * b)
+        drawn = self._count_draws(monkeypatch)
+        for workers in (1, 2):
+            drawn.clear()
+            tables = list(montecarlo._tables(cfg, distances, 600,
+                                             ALL_STRATEGIES, workers))
+            widest = max(stop - start for start, stop in drawn)
+            assert widest == (min(rows * b, 600) if workers == 1 else b)
+            for got, want in zip(tables, expected, strict=True):
+                np.testing.assert_array_equal(got, want)
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tables_are_contiguous_and_disjoint(self, workers, monkeypatch):
