@@ -68,12 +68,12 @@ def _parse_strategies(text: str) -> tuple[StrategyKind, ...]:
             from None
 
 
-def _setting(default, flag=None, help=None, parse=None):
-    """A setting: its default, its command-line flag if it has one, and
-    the parser for its file and flag text if its default's type does not
-    imply one."""
-    return field(default=default,
-                 metadata={"parse": parse, "flag": flag, "help": help})
+def _setting(default, flag=None, help=None, parse=None, mode=None):
+    """A setting: its default, its command-line flag if it has one, the
+    parser for its file and flag text if its default's type does not
+    imply one, and the one mode its flag applies to, if not both."""
+    return field(default=default, metadata={
+        "parse": parse, "flag": flag, "help": help, "mode": mode})
 
 
 @dataclass(frozen=True)
@@ -85,19 +85,20 @@ class Settings(ScenarioConfig):
     with a flag are re-declared here only to attach it. Config-file keys,
     flags and `--dump-config` are derived from the fields, in field order
     (the scenario's first). Parsers reject text that names no value;
-    `__post_init__` checks the values.
+    `__post_init__` checks the values. A flag of one mode is rejected in
+    the other; its file key, which `--dump-config` writes, is not.
     """
 
     distance_m: float = _setting(
         ScenarioConfig.distance_m, "--distance",
-        "end-to-end distance in meters (cdf mode only)")
+        "end-to-end distance in meters (cdf mode only)", mode="cdf")
     blocked_direct: bool = _setting(
         ScenarioConfig.blocked_direct, "--blocked-direct")
     seed: int = _setting(ScenarioConfig.seed, "--seed")
     mode: str = _setting("sweep", "--mode", "sweep or cdf", _parse_mode)
-    lmin: float = _setting(10.0, "--lmin")
-    lmax: float = _setting(100.0, "--lmax")
-    lstep: float = _setting(10.0, "--lstep")
+    lmin: float = _setting(10.0, "--lmin", mode="sweep")
+    lmax: float = _setting(100.0, "--lmax", mode="sweep")
+    lstep: float = _setting(10.0, "--lstep", mode="sweep")
     trials: int = _setting(10_000, "--trials")
     strategies: tuple[StrategyKind, ...] = _setting(
         ALL_STRATEGIES, "--strategies", "comma-separated strategy names",
@@ -229,8 +230,10 @@ def resolve_settings(argv: list[str]) -> tuple[Settings, bool]:
         settings = Settings(**merged)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    if args.distance_m is not None and settings.mode == "sweep":
-        raise CliError("--distance applies to cdf mode only")
+    for f in fields(Settings):
+        mode = f.metadata.get("mode")
+        if mode not in (None, settings.mode) and getattr(args, f.name):
+            raise CliError(f"{f.metadata['flag']} applies to {mode} mode only")
     return settings, args.dump_config
 
 

@@ -5,16 +5,17 @@ Trials come in the fixed blocks of the RNG contract
 so any range of whole blocks can be evaluated anywhere and give the same
 bytes. The draws do not depend on the distance (scenario.draw_block), so
 propagation.link_sinrs places a block at one distance or at several in
-one numpy pass of at most ROWS trial-points. A run (one point, a sweep
-or a CDF) opens at most one process pool. Its work items are ranges of
-whole blocks over every distance of the run, a few per process; an item
-draws each of its blocks once, for all distances. A run of fewer than
-two blocks, and a serial run, is one item evaluated in this process. The
-results come back in item order and are joined per distance, in trial
-order, into one C-contiguous (strategies, trials) table per point before
-any aggregation, so results are bit-identical for any worker count. A
-sweep and a CDF sort each point's rows in place, once (_sorted): a
-sweep's summaries and a CDF's rows both read that sorted table.
+one numpy pass of at most ROWS trial-points, which is also the unit of
+work. A run (one point, a sweep or a CDF) opens at most one process
+pool; its work items are ranges of whole ROWS over every distance, a few
+per process, so any worker count draws the serial run's ranges, and an
+item draws each range once, for all distances. A serial run, and one of
+at most ROWS trials, is one item evaluated in this process. The results
+come back in item order and are joined per distance, in trial order,
+into one C-contiguous (strategies, trials) table per point before any
+aggregation, so results are bit-identical for any worker count. A sweep
+and a CDF sort each point's rows in place, once (_sorted): a sweep's
+summaries and a CDF's rows both read that sorted table.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 # Work items per pool process: several, so that processes finishing early
 # take over the rest, yet few, since each item costs a round trip.
 ITEMS_PER_WORKER = 4
-# Trial-points per numpy call. It must be a whole number of contract
-# blocks, or draw_block redraws the block at each call boundary.
+# Trial-points per numpy call, and the unit of pooled work items. It must
+# be a whole number of contract blocks, or draw_block redraws the block
+# at each call boundary.
 ROWS = 2 * BLOCK_TRIALS
 
 
@@ -123,12 +125,12 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     at each of distances_m, which replace config.distance_m, in order.
     Each table is its caller's own: no other table shares its memory.
 
-    A work item is a range of whole BLOCK_TRIALS blocks over every
-    distance, up to ITEMS_PER_WORKER items per process. One pool serves
-    them all, capped at os.cpu_count() and at the number of items; a cap
-    of one runs serially, as one item. Every item gets config's scenario
-    as one plain ScenarioConfig, built once, so that a subclass's own
-    fields and checks (cli.Settings) are neither re-run nor sent with the
+    A work item is a range of whole ROWS over every distance, up to
+    ITEMS_PER_WORKER items per process. One pool serves them all, capped
+    at os.cpu_count() and at the number of items; a cap of one runs
+    serially, as one item. Every item gets config's scenario as one
+    plain ScenarioConfig, built once, so that a subclass's own fields
+    and checks (cli.Settings) are neither re-run nor sent with the
     items. The pool is shut down before the first table is yielded."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -140,8 +142,8 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
                                for f in fields(ScenarioConfig)})
     distances = np.array(distances_m, dtype=float)
     workers = min(workers, os.cpu_count() or 1)
-    blocks = -(-trials // BLOCK_TRIALS)
-    step = -(-blocks // min(blocks, ITEMS_PER_WORKER * workers)) * BLOCK_TRIALS
+    chunks = -(-trials // ROWS)
+    step = -(-chunks // min(chunks, ITEMS_PER_WORKER * workers)) * ROWS
     starts = range(0, trials, step)
     workers = min(workers, len(starts))
     if workers <= 1:

@@ -5,14 +5,9 @@ Rayleigh fading, dB conversions and interference aggregation."""
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .scenario import D, PAYLOAD_PAIRS, R1, R2, S
-
-if TYPE_CHECKING:
-    from .scenario import ScenarioConfig, TrialBlock
+from .scenario import D, PAYLOAD_PAIRS, R1, R2, S, ScenarioConfig, TrialBlock
 
 # Log-distance path loss diverges as d -> 0; relays can be drawn arbitrarily
 # close to an endpoint, so distances are clamped to this floor.
@@ -72,7 +67,7 @@ def place(u: np.ndarray, distance_m) -> np.ndarray:
     return xy
 
 
-def node_positions(block: "TrialBlock", distance_m) -> np.ndarray:
+def node_positions(block: TrialBlock, distance_m) -> np.ndarray:
     """S, D, R1, R2 positions in m of each trial, shape (B, 4, 2), or
     (G, B, 4, 2) at a 1-D array of G distances: S at the origin, D at
     (L, 0), the relays placed in the box."""
@@ -83,7 +78,7 @@ def node_positions(block: "TrialBlock", distance_m) -> np.ndarray:
     return xy
 
 
-def interference_mw(block: "TrialBlock", config: "ScenarioConfig",
+def interference_mw(block: TrialBlock, config: ScenarioConfig,
                     node_xy: np.ndarray, distance_m) -> np.ndarray:
     """Aggregate interference power in mW at each node of the block
     placed at distance_m, whose node_positions are node_xy, shape (B, 4),
@@ -115,7 +110,7 @@ def interference_mw(block: "TrialBlock", config: "ScenarioConfig",
     return total
 
 
-def link_sinrs(block: "TrialBlock", config: "ScenarioConfig",
+def link_sinrs(block: TrialBlock, config: ScenarioConfig,
                distance_m=None) -> np.ndarray:
     """Linear SINR of every directed payload link of the block placed at
     distance_m (default config.distance_m), shape (B, 8), or (G, B, 8) at

@@ -110,10 +110,11 @@ class TrialBlock:
     Positions are the U[0, 1) variates of their (x, y) coordinates.
     Channel draws are stored as carrier frequencies. Interferer arrays
     have interferer_max columns; a trial that drew fewer interferers has
-    padding in the rest: carrier 0 and zero fading, so it adds no
-    interference. `fading` holds each link's power gain |h|^2 of
-    unit-mean Rayleigh fading, which is Exp(1): the PAYLOAD_PAIRS first,
-    then, per interferer, its links to S, D, R1 and R2.
+    padding in the rest, marked by carrier 0 alone: it is never on the
+    trial's channel, so it adds no interference. `fading` holds each
+    link's power gain |h|^2 of unit-mean Rayleigh fading, which is
+    Exp(1), as drawn: the PAYLOAD_PAIRS first, then, per interferer slot,
+    its links to S, D, R1 and R2.
     """
 
     carrier_mhz: np.ndarray     # (B,) the link's channel
@@ -140,8 +141,8 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
       5. (B, n) interferer channel indices ~ U{11..26}
       6. (B, 5 + 4n) link power gains |h|^2 ~ Exp(1): the payload
          pairs, then per interferer its links to S, D, R1 and R2
-    A trial's interferers beyond its count are padding: carrier 0 and
-    zero fading (their position variates are drawn but unused). Two
+    A trial's interferers beyond its count are padding, marked by
+    carrier 0 alone (their positions and gains are drawn but unused). Two
     relays are always drawn so that every strategy sees the same channel
     realization (paired comparisons).
     """
@@ -170,10 +171,7 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
     carrier_k, relay_u, count, interferer_u, interferer_k, gains = (
         (np.concatenate(arrays) if len(drawn) > 1 else arrays[0])[rows]
         .astype(float, copy=False) for arrays in zip(*drawn))
-    count = count[:, None]
-    interferer_mhz = np.where(np.arange(hi) < count,
+    interferer_mhz = np.where(np.arange(hi) < count[:, None],
                               _center_mhz(interferer_k), 0.0)
-    fading = np.where(np.arange(links) < len(PAYLOAD_PAIRS) + 4 * count,
-                      gains, 0.0)
     return TrialBlock(_center_mhz(carrier_k), relay_u, interferer_u,
-                      interferer_mhz, fading)
+                      interferer_mhz, gains)

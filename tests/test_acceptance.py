@@ -9,6 +9,7 @@ implemented as stated and are expected to fail (see the project notes).
 import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def test_criterion_8_worker_count_determinism(tmp_path):
                    "--workers", workers, "--out", out])
         assert rc == 0
         digests.append(
-            hashlib.sha256(open(out, "rb").read()).hexdigest())
+            hashlib.sha256(Path(out).read_bytes()).hexdigest())
     ok = digests[0] == digests[1]
     assert _verdict(8, "byte-identical sweep CSVs across worker counts",
                     ok)

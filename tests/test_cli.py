@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import os
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -101,12 +102,21 @@ class TestValidation:
         with pytest.raises(CliError, match="duplicate strategy"):
             resolve_settings(["--strategies", "direct,direct"])
 
-    def test_distance_flag_rejected_in_sweep_mode(self, tmp_path):
-        with pytest.raises(CliError, match="--distance"):
-            resolve_settings(["--mode", "sweep", "--distance", "40"])
-        path = _write(tmp_path, "distance_m = 40\n")
-        settings, _ = resolve_settings(["--config", path, "--mode", "sweep"])
-        assert settings.distance_m == 40.0
+    @pytest.mark.parametrize("flag,key,mode", [
+        ("--distance", "distance_m", "cdf"), ("--lmin", "lmin", "sweep"),
+        ("--lmax", "lmax", "sweep"), ("--lstep", "lstep", "sweep")])
+    def test_flag_of_other_mode_rejected(self, tmp_path, capsys, flag, key,
+                                         mode):
+        other = "sweep" if mode == "cdf" else "cdf"
+        out = tmp_path / "out.csv"
+        assert main(["--mode", other, flag, "40", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"relaysim: error: {flag} applies to {mode} mode only\n"
+        assert not out.exists()
+        # the config-file key stays accepted: --dump-config writes them all
+        path = _write(tmp_path, f"{key} = 40\n")
+        settings, _ = resolve_settings(["--config", path, "--mode", other])
+        assert getattr(settings, key) == 40.0
 
     @pytest.mark.parametrize("flag,value", [("--lmin", "nan"),
                                             ("--lmax", "inf")])
@@ -219,7 +229,7 @@ class TestRunModes:
                    "--lstep", "20", "--trials", "3",
                    "--strategies", "direct", "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "strategy,distance_m,mean_se,p10_se,p50_se,p90_se"
         assert len(lines) == 3  # header + 2 distances
         assert lines[1].startswith("direct,20,")
@@ -230,7 +240,7 @@ class TestRunModes:
                    "--lstep", "10", "--trials", "1",
                    "--strategies", "df_single", "--out", out])
         assert rc == 0
-        assert len(open(out).read().splitlines()) == 2
+        assert len(Path(out).read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("argv", [
         ["--mode", "sweep", "--lmin", "20", "--lmax", "40", "--lstep", "20"],
@@ -265,7 +275,7 @@ class TestRunModes:
         rc = main(["--mode", "cdf", "--distance", "70", "--trials", "10",
                    "--strategies", "direct,af_single", "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "strategy,spectral_efficiency,cdf"
         assert len(lines) == 1 + 2 * 10  # header + n rows per strategy
         assert lines[1].startswith("af_single,")  # sorted by strategy name
@@ -278,7 +288,7 @@ class TestRunModes:
             rc = main(["--mode", "cdf", "--trials", "25", "--seed", "11",
                        "--strategies", "direct,twoway_df", "--out", out])
             assert rc == 0
-            digests.append(hashlib.sha256(open(out, "rb").read())
+            digests.append(hashlib.sha256(Path(out).read_bytes())
                            .hexdigest())
         assert digests[0] == digests[1]
 
@@ -287,7 +297,7 @@ class TestRunModes:
         rc = main(["--mode", "cdf", "--trials", "5", "--blocked-direct",
                    "--strategies", "direct", "--out", out])
         assert rc == 0
-        rows = open(out).read().splitlines()[1:]
+        rows = Path(out).read_text().splitlines()[1:]
         assert all(row.split(",")[1] == "0.000000" for row in rows)
 
 
@@ -435,3 +445,22 @@ def test_golden_digest(tmp_path, case, workers):
     out = tmp_path / "out.csv"
     assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_golden_pool_split(tmp_path, monkeypatch, pool_sizes):
+    # at two CPUs only the cases of more than ROWS trials start a pool, so
+    # the 2-worker digests above cover the pooled path as well as the
+    # serial one
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    pooled = []
+    for case in sorted(_GOLDEN):
+        argv, digest = _GOLDEN[case]
+        if case in _GOLDEN_CONFIG:
+            argv = argv + ["--config", _write(tmp_path, _GOLDEN_CONFIG[case])]
+        out = tmp_path / "out.csv"
+        before = len(pool_sizes)
+        assert main(argv + ["--workers", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        pooled += [case] * (len(pool_sizes) - before)
+    assert pooled == ["cdf_chunks", "sweep_tail"]
+    assert pool_sizes == [2, 2]

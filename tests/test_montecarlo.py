@@ -21,29 +21,6 @@ from relaysim.strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 from test_propagation import _unit_fading_block
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool with one that maps in this process; the
-    list holds the size of each pool started."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
-    return sizes
-
-
 def _stats(samples):
     """SummaryStats of one row of samples, as run_sweep aggregates it."""
     (stats,) = montecarlo._summaries(np.sort(samples)[None])
@@ -199,8 +176,8 @@ class TestRunPoint:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         cfg = ScenarioConfig(distance_m=60.0, seed=23)
         kinds = (StrategyKind.DIRECT,)
-        # four blocks: enough work items for more than three processes
-        trials = 4 * montecarlo.BLOCK_TRIALS
+        # four ROWS: enough work items for more than three processes
+        trials = 4 * montecarlo.ROWS
         pooled = run_point(cfg, trials, kinds, workers=1000)
         assert pool_sizes == [3]
         np.testing.assert_array_equal(pooled[kinds[0]],
@@ -298,6 +275,41 @@ class TestRunSweep:
                   for k in range(start // b, -(-stop // b))]
         assert len(blocks) == len(set(blocks)) == 3
 
+    def test_pooled_runs_make_the_serial_draws(self, pool_sizes,
+                                               monkeypatch):
+        # ROWS is the one unit of work: work items are ranges of whole
+        # ROWS, so at any worker count a run draws the serial run's ranges
+        # and makes no more link_sinrs calls (a short last item may pack
+        # more distances per call). The engine's numpy calls are stubbed
+        # out: only their arguments are counted.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        drawn, calls = [], []
+        monkeypatch.setattr(montecarlo, "draw_block", lambda config, start,
+                            stop: drawn.append((start, stop)) or stop - start)
+        monkeypatch.setattr(montecarlo, "link_sinrs", lambda rows, config,
+                            at: calls.append(1) or (len(at), rows))
+        rates = np.zeros((46, montecarlo.ROWS, 1))
+        monkeypatch.setattr(montecarlo, "strategy_rates", lambda shape,
+                            kinds: rates[:shape[0], :shape[1]])
+        cfg = ScenarioConfig()
+        for trials in (*range(1, 1101, 7), 4500, 10_000, 12_345, 100_000):
+            for points in (1, 2, 3, 10, 23, 46):
+                distances = tuple(range(10, 10 + 2 * points, 2))
+                runs = []
+                for workers in (1, 2, 3, 4):
+                    drawn.clear()
+                    calls.clear()
+                    for _ in montecarlo._tables(cfg, distances, trials,
+                                                (StrategyKind.DIRECT,),
+                                                workers):
+                        pass
+                    runs.append((sorted(drawn), len(calls)))
+                for workers, (draws, placed) in enumerate(runs, start=1):
+                    case = (trials, points, workers)
+                    assert draws == runs[0][0], case
+                    assert placed <= runs[0][1], case
+        assert set(pool_sizes) == {2, 3, 4}
+
     @staticmethod
     def _count_draws(monkeypatch):
         """Trial ranges (start, stop) of montecarlo.draw_block calls, in
@@ -361,14 +373,15 @@ class TestRunSweep:
         run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,))
         assert drawn == [(0, 2 * b), (2 * b, 2 * b + 7)]
         assert calls == [1] * 6
-        # at two workers each block is an item: the 256-row items pack two
-        # distances per call, and the 7-row tail item all three
+        # at two workers each item is a range of whole ROWS: the 512-row
+        # item goes one distance per call, as the serial run does, and the
+        # 7-row tail item packs all three into one call
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         calls.clear()
         run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,),
                   workers=2)
         assert pool_sizes == [2]
-        assert calls == [2, 1, 2, 1, 3]
+        assert calls == [1, 1, 1, 3]
 
     @pytest.mark.parametrize("rows", [1, 2, 4], ids=lambda k: f"{k}_blocks")
     def test_tables_do_not_depend_on_rows(self, rows, pool_sizes,
@@ -376,7 +389,9 @@ class TestRunSweep:
         # every row's bits are independent of the packing: any whole number
         # of blocks per call gives the tables of the default ROWS, at one
         # worker and at two (4 points of 600 trials: two whole blocks and
-        # an 88-trial tail)
+        # an 88-trial tail). Work items are whole ROWS too, so the widest
+        # draw is the same at both, and 600 trials of 4 blocks per call are
+        # one item, which starts no pool.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg = ScenarioConfig(seed=47, interferer_min=0, interferer_max=6)
         distances = (15.0, 40.0, 65.0, 90.0)
@@ -390,10 +405,10 @@ class TestRunSweep:
             tables = list(montecarlo._tables(cfg, distances, 600,
                                              ALL_STRATEGIES, workers))
             widest = max(stop - start for start, stop in drawn)
-            assert widest == (min(rows * b, 600) if workers == 1 else b)
+            assert widest == min(rows * b, 600)
             for got, want in zip(tables, expected, strict=True):
                 np.testing.assert_array_equal(got, want)
-        assert pool_sizes == [2]
+        assert pool_sizes == ([2] if rows * b < 600 else [])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tables_are_contiguous_and_disjoint(self, workers, monkeypatch):
