@@ -284,13 +284,21 @@ class TestRunSweep:
         # out: only their arguments are counted.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         drawn, calls = [], []
-        monkeypatch.setattr(montecarlo, "draw_block", lambda config, start,
-                            stop: drawn.append((start, stop)) or stop - start)
-        monkeypatch.setattr(montecarlo, "link_sinrs", lambda rows, config,
-                            at: calls.append(1) or (len(at), rows))
         rates = np.zeros((46, montecarlo.ROWS, 1))
-        monkeypatch.setattr(montecarlo, "strategy_rates", lambda shape,
-                            kinds: rates[:shape[0], :shape[1]])
+
+        def draw_block(config, start, stop):
+            drawn.append((start, stop))
+            return stop - start
+
+        def link_sinrs(rows, config, distances):
+            calls.append(len(distances))
+            return len(distances), rows
+
+        def strategy_rates(shape, kinds):
+            return rates[:shape[0], :shape[1]]
+
+        for stub in (draw_block, link_sinrs, strategy_rates):
+            monkeypatch.setattr(montecarlo, stub.__name__, stub)
         cfg = ScenarioConfig()
         for trials in (*range(1, 1101, 7), 4500, 10_000, 12_345, 100_000):
             for points in (1, 2, 3, 10, 23, 46):
@@ -304,10 +312,11 @@ class TestRunSweep:
                                                 workers):
                         pass
                     runs.append((sorted(drawn), len(calls)))
+                serial_draws, serial_calls = runs[0]
                 for workers, (draws, placed) in enumerate(runs, start=1):
                     case = (trials, points, workers)
-                    assert draws == runs[0][0], case
-                    assert placed <= runs[0][1], case
+                    assert draws == serial_draws, case
+                    assert placed <= serial_calls, case
         assert set(pool_sizes) == {2, 3, 4}
 
     @staticmethod
