@@ -10,12 +10,13 @@ work. A run (one point, a sweep or a CDF) opens at most one process
 pool; its work items are ranges of whole ROWS over every distance, a few
 per process, so any worker count draws the serial run's ranges, and an
 item draws each range once, for all distances. A serial run, and one of
-at most ROWS trials, is one item evaluated in this process. The results
-come back in item order and are joined per distance, in trial order,
-into one C-contiguous (strategies, trials) table per point before any
-aggregation, so results are bit-identical for any worker count. A sweep
-and a CDF sort each point's rows in place, once (_sorted): a sweep's
-summaries and a CDF's rows both read that sorted table.
+at most ROWS trials at any number of distances, is one item evaluated
+in this process. The results come back in item order and are joined
+per distance, in trial order, into one C-contiguous (strategies,
+trials) table per point before any aggregation, so results are
+bit-identical for any worker count. A sweep and a CDF sort each
+point's rows in place, once (_sorted): a sweep's summaries and a CDF's
+rows both read that sorted table.
 """
 
 from __future__ import annotations

@@ -1,31 +1,4 @@
 import os
 import sys
 
-import pytest
-
-from relaysim import montecarlo
-
 sys.path.insert(0, os.path.dirname(__file__))
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool with one that maps in this process; the
-    list holds the size of each pool started."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
-    return sizes

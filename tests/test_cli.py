@@ -436,31 +436,26 @@ _GOLDEN_CONFIG = {
 }
 
 
+# at two CPUs only the cases of more than ROWS trials start a pool, so the
+# 2-worker digests cover the pooled path as well as the serial one
+_POOLED = {"cdf_chunks", "sweep_tail"}
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
-def test_golden_digest(tmp_path, case, workers):
+def test_golden_digest(tmp_path, monkeypatch, case, workers):
     argv, digest = _GOLDEN[case]
     if case in _GOLDEN_CONFIG:
         argv = argv + ["--config", _write(tmp_path, _GOLDEN_CONFIG[case])]
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    started, real_pool = [], montecarlo.ProcessPoolExecutor
+
+    def counting_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting_pool)
     out = tmp_path / "out.csv"
     assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-def test_golden_pool_split(tmp_path, monkeypatch, pool_sizes):
-    # at two CPUs only the cases of more than ROWS trials start a pool, so
-    # the 2-worker digests above cover the pooled path as well as the
-    # serial one
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    pooled = []
-    for case in sorted(_GOLDEN):
-        argv, digest = _GOLDEN[case]
-        if case in _GOLDEN_CONFIG:
-            argv = argv + ["--config", _write(tmp_path, _GOLDEN_CONFIG[case])]
-        out = tmp_path / "out.csv"
-        before = len(pool_sizes)
-        assert main(argv + ["--workers", "2", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        pooled += [case] * (len(pool_sizes) - before)
-    assert pooled == ["cdf_chunks", "sweep_tail"]
-    assert pool_sizes == [2, 2]
+    assert started == ([2] if workers == "2" and case in _POOLED else [])

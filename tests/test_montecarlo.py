@@ -21,6 +21,29 @@ from relaysim.strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 from test_propagation import _unit_fading_block
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that maps in this process; the
+    list holds the size of each pool started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 def _stats(samples):
     """SummaryStats of one row of samples, as run_sweep aggregates it."""
     (stats,) = montecarlo._summaries(np.sort(samples)[None])
