@@ -19,6 +19,7 @@ from relaysim import (
     rate_df_beamform2,
     rate_df_single,
     rate_direct,
+    rate_exchange,
     rate_twoway_af,
     rate_twoway_df,
 )
@@ -56,7 +57,7 @@ def main():
         twaf = sum(rate_twoway_af(g, g))
         twdf = sum(rate_twoway_df(g, g))
         # 4-slot unidirectional AF exchange, no direct link
-        uni = 2 * 0.25 * math.log2(1 + af_equivalent_snr(g, g))
+        uni = sum(rate_exchange(rate_af_single, 0.0, g, g, 0.0, g, g))
         print(f"{db:7d} {twaf:10.3f} {twdf:10.3f} {uni:10.3f}")
 
     print("\nAt high SNR the two-slot exchange doubles the 4-slot rate; "

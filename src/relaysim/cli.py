@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, TextIO
 
 import numpy as np
@@ -238,20 +238,22 @@ def resolve_settings(argv: list[str]) -> tuple[Settings, bool]:
 
 
 def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
-    """Call write(fh) on a temp file in the target directory; rename it
-    to path on success, delete it on any failure."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Create a temp file in the target directory, call write(fh) on it
+    and rename it to path; delete it on any failure. Only a failure to
+    create the file is reported as `cannot write path`, before write
+    runs; an error that write raises propagates as it is."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def format_sweep_csv(results) -> str:
@@ -279,7 +281,7 @@ def format_cdf_csv(cdfs, fh: TextIO) -> None:
     double that Python's is (n < 2**53), and `%.6f` gives the same text
     as `:.6f`."""
     fh.write("strategy,spectral_efficiency,cdf\n")
-    for kind in sorted(cdfs, key=lambda k: k.value):
+    for kind in sorted(cdfs, key=attrgetter("value")):
         row, samples = kind.value + ",%.6f,%.6f\n", cdfs[kind]
         n = samples.size
         for first in range(0, n, CDF_ROWS_PER_WRITE):
@@ -289,17 +291,15 @@ def format_cdf_csv(cdfs, fh: TextIO) -> None:
             fh.write(row * chunk.size % tuple(pairs.ravel().tolist()))
 
 
-def run(settings: Settings) -> Callable[[TextIO], object]:
-    """Execute the configured experiment; return the function that writes
-    its CSV to a text file."""
+def run(settings: Settings, fh: TextIO) -> None:
+    """Execute the configured experiment and write its CSV to fh."""
     if settings.mode == "sweep":
-        text = format_sweep_csv(run_sweep(
+        fh.write(format_sweep_csv(run_sweep(
             settings, settings.sweep_distances(), settings.trials,
-            settings.strategies, settings.workers))
-        return lambda fh: fh.write(text)
-    cdfs = run_cdf(settings, settings.trials, settings.strategies,
-                   settings.workers)
-    return lambda fh: format_cdf_csv(cdfs, fh)
+            settings.strategies, settings.workers)))
+    else:
+        format_cdf_csv(run_cdf(settings, settings.trials,
+                               settings.strategies, settings.workers), fh)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -310,8 +310,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(dump_config(settings))
             return 0
         out = settings.out or f"{settings.mode}.csv"
-        _atomic_write(out, run(settings))
-    except (CliError, ValueError) as exc:
+        _atomic_write(out, functools.partial(run, settings))
+    except (CliError, OSError, ValueError) as exc:
         print(f"relaysim: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {out}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -97,9 +97,9 @@ def _item_tables(config: ScenarioConfig, distances: np.ndarray, start: int,
     order; all strategies of a trial share its draw.
 
     Each call places rows = min(stop - start, ROWS) trials, drawn in one
-    range, at max(1, ROWS // rows) distances; a later group reuses them."""
+    range, at ROWS // rows distances; a later group reuses them."""
     rows = min(stop - start, ROWS)
-    group = max(1, ROWS // rows)
+    group = ROWS // rows
     blocks = (draw_block(config, first, min(first + rows, stop))
               for first in range(start, stop, rows))
     if len(distances) > group:
@@ -129,18 +129,14 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     A work item is a range of whole ROWS over every distance, up to
     ITEMS_PER_WORKER items per process. One pool serves them all, capped
     at os.cpu_count() and at the number of items; a cap of one runs
-    serially, as one item. Every item gets config's scenario as one
-    plain ScenarioConfig, built once, so that a subclass's own fields
-    and checks (cli.Settings) are neither re-run nor sent with the
-    items. The pool is shut down before the first table is yielded."""
+    serially, as one item. The pool is shut down before the first table
+    is yielded."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not kinds:
         raise ValueError("at least one strategy is required")
-    config = ScenarioConfig(**{f.name: getattr(config, f.name)
-                               for f in fields(ScenarioConfig)})
     distances = np.array(distances_m, dtype=float)
     workers = min(workers, os.cpu_count() or 1)
     chunks = -(-trials // ROWS)

@@ -40,7 +40,7 @@ def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float = 28.0):
     20*log10(f_MHz) + N*log10(d_m) - 28, with d clamped to MIN_DISTANCE_M.
     Frequencies and distances may be broadcastable arrays.
     """
-    if not np.min(freq_mhz) > 0:
+    if not np.min(freq_mhz, initial=np.inf) > 0:  # empty passes, NaN fails
         raise ValueError("frequency must be positive")
     if coeff_db_per_decade <= 0:
         raise ValueError("path loss coefficient must be positive")
@@ -96,8 +96,6 @@ def interference_mw(block: TrialBlock, config: ScenarioConfig,
     trials, n = block.interferer_mhz.shape
     total = np.zeros(node_xy.shape[:-2] + (4,))
     t, k = np.nonzero(block.interferer_mhz == block.carrier_mhz[:, None])
-    if not t.size:  # path_loss_db's np.min cannot take an empty array
-        return total
     offset = place(block.interferer_u[t, k], distance_m)[..., None, :] \
         - node_xy[..., t, :, :]
     pl = path_loss_db(block.carrier_mhz[t, None],

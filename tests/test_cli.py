@@ -242,34 +242,6 @@ class TestRunModes:
         assert rc == 0
         assert len(Path(out).read_text().splitlines()) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["--mode", "sweep", "--lmin", "20", "--lmax", "40", "--lstep", "20"],
-        ["--mode", "cdf", "--distance", "40"],
-    ], ids=["sweep", "cdf"])
-    def test_engine_gets_plain_scenario_config(self, tmp_path, monkeypatch,
-                                               argv):
-        # the engine sees the scenario alone, not the CLI's Settings
-        seen = []
-        draw, place = montecarlo.draw_block, montecarlo.link_sinrs
-
-        def draw_block(config, start, stop):
-            seen.append(config)
-            return draw(config, start, stop)
-
-        def link_sinrs(block, config, distance_m):
-            seen.append(config)
-            return place(block, config, distance_m)
-
-        monkeypatch.setattr(montecarlo, "draw_block", draw_block)
-        monkeypatch.setattr(montecarlo, "link_sinrs", link_sinrs)
-        out = str(tmp_path / "out.csv")
-        assert main(argv + ["--trials", "3", "--strategies", "direct",
-                            "--out", out]) == 0
-        # one draw; the 3-trial block is placed at both sweep distances in
-        # one call
-        assert len(seen) == 2
-        assert all(type(c) is ScenarioConfig for c in seen)
-
     def test_cdf_csv_shape(self, tmp_path):
         out = str(tmp_path / "cdf.csv")
         rc = main(["--mode", "cdf", "--distance", "70", "--trials", "10",
@@ -381,12 +353,24 @@ class TestFailureModes:
         assert rc != 0
         assert "error" in capsys.readouterr().err
 
-    def test_unwritable_path_exits_nonzero(self, tmp_path, capsys):
-        rc = main(["--mode", "cdf", "--trials", "2",
-                   "--strategies", "direct",
-                   "--out", "/nonexistent_dir/x.csv"])
-        assert rc != 0
-        assert "error" in capsys.readouterr().err
+    def test_unwritable_path_exits_nonzero(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the output is created before the run, so the engine never starts
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+
+        monkeypatch.setattr(cli, "run_sweep", record)
+        monkeypatch.setattr(cli, "run_cdf", record)
+        out = tmp_path / "missing" / "x.csv"
+        for mode in ("sweep", "cdf"):
+            assert main(["--mode", mode, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"relaysim: error: cannot write {out}: ")
+            assert err.count("\n") == 1
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_partial_file_left_behind(self, tmp_path):
         target_dir = tmp_path / "outdir"
@@ -396,6 +380,16 @@ class TestFailureModes:
                    "--out", str(target_dir / "sub" / "x.csv")])
         assert rc != 0
         assert list(target_dir.iterdir()) == []
+
+    def test_run_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def run_sweep(*args):
+            raise OSError("pool could not start")
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        assert main(["--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err \
+            == "relaysim: error: pool could not start\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_file_path(self, capsys):
         rc = main(["--config", "/no/such/file.cfg"])

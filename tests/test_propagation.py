@@ -56,6 +56,14 @@ class TestPathLoss:
             path_loss_db(0.0, 10.0, 28.0)
         with pytest.raises(ValueError):
             path_loss_db(-2405.0, 10.0, 28.0)
+        with pytest.raises(ValueError):
+            path_loss_db(np.array([2405.0, np.nan]), 10.0, 28.0)
+
+    def test_empty_batch(self):
+        # interference_mw passes the empty batch of a block with no
+        # co-channel interferer
+        empty = path_loss_db(np.empty((0, 1)), np.empty((3, 0, 4)), 28.0)
+        assert empty.shape == (3, 0, 4)
 
     @given(st.floats(min_value=1.0, max_value=1e4),
            st.floats(min_value=1.001, max_value=10.0))
