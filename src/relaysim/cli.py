@@ -35,8 +35,10 @@ MAX_SWEEP_POINTS = 100_000
 CDF_ROWS_PER_WRITE = 4096
 
 
-class CliError(Exception):
-    """Validation or I/O failure reported as a single-line diagnostic."""
+# A usage error is raised for main to report, not printed with exit 2.
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _parse_mode(text: str) -> str:
@@ -155,29 +157,29 @@ def _parse(key: str, text: str, where: str = ""):
     try:
         return _PARSERS[key](text)
     except ValueError as exc:
-        raise CliError(f"{where}bad value for {key}: {exc}") from None
+        raise ValueError(f"{where}bad value for {key}: {exc}") from None
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse a line-oriented `key = value` config file."""
+    """Parse a `key = value` config file; OSError if not readable as UTF-8."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _PARSERS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = _parse(key, value.strip(), f"{path}:{lineno}: ")
     return values
 
@@ -191,8 +193,10 @@ def dump_config(settings: Settings) -> str:
             value = ",".join(k.value for k in value)
         elif isinstance(value, bool):
             value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
+        value = str(value)
+        if value.split("#")[0].strip() != value or set("\r\n") & set(value):
+            raise ValueError(f"cannot dump {key} = {value!r}: a config value "
+                             "holds no '#', line break or edge space")
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -202,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The flag parser, built once per process, since building it costs
     more than the rest of resolving; parse_args keeps no state between
     calls."""
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="relaysim",
         description="Monte Carlo simulator for cooperative relaying "
                     "strategies in a smart-grid NAN.")
@@ -218,35 +222,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def resolve_settings(argv: list[str]) -> tuple[Settings, bool]:
-    """Merge defaults <- config file <- flags into validated Settings."""
+def resolve_settings(argv: list[str] | None) -> tuple[Settings, bool]:
+    """Merge defaults <- config file <- flags; ValueError on bad input."""
     args = _build_parser().parse_args(argv)
     merged = parse_config_file(args.config) if args.config else {}
     for key in _PARSERS:
         text = getattr(args, key, None)
         if text is not None:
             merged[key] = _parse(key, text)
-    try:
-        settings = Settings(**merged)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    settings = Settings(**merged)
     for f in fields(Settings):
         mode = f.metadata.get("mode")
         if mode not in (None, settings.mode) and getattr(args, f.name):
-            raise CliError(f"{f.metadata['flag']} applies to {mode} mode only")
+            raise ValueError(
+                f"{f.metadata['flag']} applies to {mode} mode only")
     return settings, args.dump_config
 
 
 def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
-    """Create a temp file in the target directory, call write(fh) on it
-    and rename it to path; delete it on any failure. Only a failure to
-    create the file is reported as `cannot write path`, before write
-    runs; an error that write raises propagates as it is."""
+    """Create a temp file in path's directory, call write(fh) on it and
+    rename it to path; delete it on any failure. A failure to create it
+    raises OSError `cannot write path`; write's own errors propagate."""
     try:
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from None
+        raise OSError(f"cannot write {path}: {exc}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             write(fh)
@@ -303,7 +304,6 @@ def run(settings: Settings, fh: TextIO) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
         settings, dump_only = resolve_settings(argv)
         if dump_only:
@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         out = settings.out or f"{settings.mode}.csv"
         _atomic_write(out, functools.partial(run, settings))
-    except (CliError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"relaysim: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {out}")

@@ -172,7 +172,7 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
     """Summary statistics per (strategy, distance) over trials at each of
     the distances, which replace config.distance_m. Each point is
     aggregated as soon as its table is complete, from its sorted rows."""
-    if not distances_m:
+    if len(distances_m) == 0:
         raise ValueError("distances_m must be non-empty")
     if any(b <= a for a, b in zip(distances_m, distances_m[1:])):
         raise ValueError("distances must be strictly increasing")

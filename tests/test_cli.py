@@ -3,6 +3,8 @@ import hashlib
 import io
 import itertools
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis
@@ -12,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from relaysim import cli, montecarlo
 from relaysim.cli import (
-    CliError,
     Settings,
     dump_config,
     format_cdf_csv,
@@ -45,17 +46,17 @@ class TestConfigFile:
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = _write(tmp_path, "trials = 10\nbogus_key = 1\n")
-        with pytest.raises(CliError, match=r":2: unknown key 'bogus_key'"):
+        with pytest.raises(ValueError, match=r":2: unknown key 'bogus_key'"):
             parse_config_file(path)
 
     def test_bad_value_reports_line(self, tmp_path):
         path = _write(tmp_path, "trials = not_a_number\n")
-        with pytest.raises(CliError, match=r":1: bad value"):
+        with pytest.raises(ValueError, match=r":1: bad value"):
             parse_config_file(path)
 
     def test_missing_equals_reports_line(self, tmp_path):
         path = _write(tmp_path, "trials\n")
-        with pytest.raises(CliError, match=r":1: expected"):
+        with pytest.raises(ValueError, match=r":1: expected"):
             parse_config_file(path)
 
     def test_comments_and_whitespace(self, tmp_path):
@@ -64,7 +65,7 @@ class TestConfigFile:
 
     def test_invalid_distance_names_invariant(self, tmp_path):
         path = _write(tmp_path, "distance_m = -5\n")
-        with pytest.raises(CliError, match="distance_m"):
+        with pytest.raises(ValueError, match="distance_m"):
             resolve_settings(["--config", path, "--mode", "cdf"])
 
     def test_flag_overrides_file(self, tmp_path):
@@ -81,7 +82,7 @@ class TestConfigFile:
                                        StrategyKind.AF_SINGLE)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(CliError, match="unknown strategy"):
+        with pytest.raises(ValueError, match="unknown strategy"):
             resolve_settings(["--strategies", "direct,warp_drive"])
 
 
@@ -90,16 +91,16 @@ class TestValidation:
 
     def test_bad_mode_in_file_reports_line(self, tmp_path):
         path = _write(tmp_path, "trials = 5\nmode = foo\n")
-        with pytest.raises(CliError, match=r":2: bad value for mode"):
+        with pytest.raises(ValueError, match=r":2: bad value for mode"):
             resolve_settings(["--config", path])
 
     def test_duplicate_key_reports_second_line(self, tmp_path):
         path = _write(tmp_path, "trials = 5\nseed = 3\ntrials = 7\n")
-        with pytest.raises(CliError, match=r":3: duplicate key 'trials'$"):
+        with pytest.raises(ValueError, match=r":3: duplicate key 'trials'$"):
             resolve_settings(["--config", path])
 
     def test_duplicate_strategy_rejected(self):
-        with pytest.raises(CliError, match="duplicate strategy"):
+        with pytest.raises(ValueError, match="duplicate strategy"):
             resolve_settings(["--strategies", "direct,direct"])
 
     @pytest.mark.parametrize("flag,key,mode", [
@@ -121,41 +122,41 @@ class TestValidation:
     @pytest.mark.parametrize("flag,value", [("--lmin", "nan"),
                                             ("--lmax", "inf")])
     def test_nonfinite_grid_bound_named(self, flag, value):
-        with pytest.raises(CliError, match=f"{flag[2:]} must be finite"):
+        with pytest.raises(ValueError, match=f"{flag[2:]} must be finite"):
             resolve_settings([flag, value])
 
     def test_bad_flag_value_names_setting(self):
-        with pytest.raises(CliError, match="bad value for trials"):
+        with pytest.raises(ValueError, match="bad value for trials"):
             resolve_settings(["--trials", "abc"])
 
     def test_bad_seed_names_seed(self):
-        with pytest.raises(CliError, match="^seed must fit in 64"):
+        with pytest.raises(ValueError, match="^seed must fit in 64"):
             resolve_settings(["--seed", "-1"])
 
     def test_bad_interferer_counts_name_keys(self, tmp_path):
         path = _write(tmp_path, "interferer_min = 5\ninterferer_max = 2\n")
-        with pytest.raises(CliError,
+        with pytest.raises(ValueError,
                            match="^interferer_min and interferer_max must"):
             resolve_settings(["--config", path])
 
     def test_nonpositive_lmin_named(self):
-        with pytest.raises(CliError, match="^lmin must be positive"):
+        with pytest.raises(ValueError, match="^lmin must be positive"):
             resolve_settings(["--lmin", "-5"])
 
     def test_bandwidth_key_removed(self, tmp_path):
         path = _write(tmp_path, "bandwidth_hz = 2e6\n")
-        with pytest.raises(CliError, match="unknown key 'bandwidth_hz'"):
+        with pytest.raises(ValueError, match="unknown key 'bandwidth_hz'"):
             parse_config_file(path)
 
     @pytest.mark.parametrize("argv", [["--lstep", "1e-320"],
                                       ["--lmax", "1e6", "--lstep", "1e-3"]])
     def test_sweep_grid_too_fine_names_lstep(self, argv):
-        with pytest.raises(CliError, match="lstep .* sweep points"):
+        with pytest.raises(ValueError, match="lstep .* sweep points"):
             resolve_settings(argv)
 
     def test_sub_resolution_lstep_named(self):
         # few enough points for the size check, but they round together
-        with pytest.raises(CliError, match="^lstep 1e-10 is too fine for "
+        with pytest.raises(ValueError, match="^lstep 1e-10 is too fine for "
                                            "the sweep grid, whose points"):
             resolve_settings(["--lmin", "10", "--lmax", "10.000001",
                               "--lstep", "1e-10"])
@@ -220,6 +221,23 @@ class TestDumpConfig:
         out = capsys.readouterr().out
         assert "trials = 5" in out
         assert "noise_power_dbm = -110.0" in out
+
+    def test_numpy_float_dumped_as_number(self):
+        # str, not repr: numpy 2 reprs a float64 as np.float64(10.0)
+        assert "\nlmin = 10.0\n" in dump_config(Settings(lmin=np.float64(10)))
+
+    @pytest.mark.parametrize("name", ["run#1.csv", "x.csv "])
+    def test_value_without_file_form(self, tmp_path, capsys, name):
+        # '#' starts a comment and parsing strips edge spaces, so such a
+        # value cannot be dumped; a run with it still works
+        out = tmp_path / name
+        assert main(["--out", str(out), "--dump-config"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"relaysim: error: cannot dump out = {str(out)!r}: a config "
+            "value holds no '#', line break or edge space\n"))
+        assert main(["--out", str(out), "--trials", "1",
+                     "--strategies", "direct"]) == 0
+        assert out.read_text().startswith("strategy,distance_m,")
 
 
 class TestRunModes:
@@ -395,6 +413,38 @@ class TestFailureModes:
         rc = main(["--config", "/no/such/file.cfg"])
         assert rc != 0
         assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"trials = 5\n# caf\xe9\n")
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"relaysim: error: cannot read config file "
+                              f"{path}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--trials"], "argument --trials: expected one argument")],
+        ids=["unknown-flag", "missing-value"])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"relaysim: error: {message}\n")
+
+    def test_module_entry_point_exit_status(self):
+        # `python -m relaysim`: a usage error exits 1 with one line, -h 0
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "relaysim", *args],
+                                  capture_output=True, text=True, env=env)
+
+        bogus = run("--bogus")
+        assert (bogus.returncode, bogus.stdout, bogus.stderr) == (
+            1, "", "relaysim: error: unrecognized arguments: --bogus\n")
+        usage = run("-h")
+        assert (usage.returncode, usage.stderr) == (0, "")
+        assert usage.stdout.startswith("usage: relaysim ")
 
 
 # sha256 of the CSV each run writes. These pin the output bytes of the

@@ -475,6 +475,12 @@ class TestRunSweep:
                                "positive and finite$"):
                 run_sweep(cfg, distances, 10)
 
+    def test_accepts_numpy_distances(self):
+        cfg, grid = ScenarioConfig(seed=2), np.arange(10.0, 101.0, 10.0)
+        assert run_sweep(cfg, grid, 20) == run_sweep(cfg, tuple(grid), 20)
+        with pytest.raises(ValueError, match="must be non-empty"):
+            run_sweep(cfg, np.array([]), 20)
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             run_sweep(ScenarioConfig(), (10.0,), 0)
