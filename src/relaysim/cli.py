@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         out = settings.out or f"{settings.mode}.csv"
         _atomic_write(out, functools.partial(run, settings))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"relaysim: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {out}")

@@ -4,19 +4,17 @@ Trials come in the fixed blocks of the RNG contract
 (scenario.BLOCK_TRIALS), each drawn from its own derived random stream,
 so any range of whole blocks can be evaluated anywhere and give the same
 bytes. The draws do not depend on the distance (scenario.draw_block), so
-propagation.link_sinrs places a block at one distance or at several in
-one numpy pass of at most ROWS trial-points, which is also the unit of
-work. A run (one point, a sweep or a CDF) opens at most one process
-pool; its work items are ranges of whole ROWS over every distance, a few
-per process, so any worker count draws the serial run's ranges, and an
-item draws each range once, for all distances. A serial run, and one of
-at most ROWS trials at any number of distances, is one item evaluated
-in this process. The results come back in item order and are joined
-per distance, in trial order, into one C-contiguous (strategies,
-trials) table per point before any aggregation, so results are
-bit-identical for any worker count. A sweep and a CDF sort each
-point's rows in place, once (_sorted): a sweep's summaries and a CDF's
-rows both read that sorted table.
+propagation.link_sinrs places a block at several distances in one numpy
+pass of at most ROWS trial-points, which is also the unit of work. The
+run fixes its groups of distances: as many as one call of its trials
+fits in ROWS rows. A run (one point, a sweep or a CDF) opens at most one
+process pool; its work items are ranges of whole ROWS over every group,
+so any worker count makes the serial run's draws and calls. A serial
+run, and one of at most ROWS trials, is one item evaluated in this
+process. Items are joined per group, in trial order, into one
+C-contiguous (points, strategies, trials) array, the engine's one
+hand-off, bit-identical for any worker count. A sweep sorts each group
+in place and aggregates it in one pass; a CDF sorts its one point.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +57,10 @@ def percentile(sorted_samples: np.ndarray, p: float) -> float:
     return float(sorted_samples[_rank(p, len(sorted_samples))])
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
+    """One strategy at one distance: the mean of the sorted samples and
+    their nearest-rank percentiles."""
+
     mean: float
     p10: float
     p50: float
@@ -72,64 +71,45 @@ class SummaryStats:
         return self.p90 - self.p10
 
 
-def _sorted(table: np.ndarray) -> np.ndarray:
-    """table, with each row sorted in place: the one sort of a point. Each
-    table _tables yields is its caller's own, so none is copied."""
-    table.sort(axis=-1)
-    return table
-
-
-def _summaries(rows: np.ndarray) -> list[SummaryStats]:
-    """SummaryStats of each sorted row of a C-contiguous (k, n) array.
-    np.mean over the last axis of a C-contiguous array sums each row
-    pairwise, as np.mean of that row alone does, so a row's mean does not
-    depend on the other rows."""
-    ranks = [_rank(p, rows.shape[-1]) for p in (10, 50, 90)]
-    return [SummaryStats(mean, *quantiles) for mean, quantiles in
-            zip(np.mean(rows, axis=-1).tolist(), rows[:, ranks].tolist())]
-
-
-def _item_tables(config: ScenarioConfig, distances: np.ndarray, start: int,
-                 stop: int, kinds: tuple[StrategyKind, ...],
+def _item_tables(config: ScenarioConfig, groups: list[np.ndarray],
+                 start: int, stop: int, kinds: tuple[StrategyKind, ...],
                  ) -> Iterator[np.ndarray]:
-    """The C-contiguous (len(kinds), stop-start) table of trials [start,
-    stop) at each of the distances, which replace config.distance_m, in
-    order; all strategies of a trial share its draw.
-
-    Each call places rows = min(stop - start, ROWS) trials, drawn in one
-    range, at ROWS // rows distances; a later group reuses them."""
+    """The C-contiguous (len(at), len(kinds), stop-start) array of trials
+    [start, stop) at each group `at` of distances, which replace
+    config.distance_m, in order; all strategies of a trial share its
+    draw. Each call places min(stop - start, ROWS) trials, drawn in one
+    range; a later group reuses them."""
     rows = min(stop - start, ROWS)
-    group = ROWS // rows
     blocks = (draw_block(config, first, min(first + rows, stop))
               for first in range(start, stop, rows))
-    if len(distances) > group:
+    if len(groups) > 1:
         blocks = list(blocks)
-    for i in range(0, len(distances), group):
-        at = distances[i:i + group]
+    for at in groups:
         out = np.empty((len(at), len(kinds), stop - start))
         for first, block in zip(range(0, stop - start, rows), blocks):
             rates = strategy_rates(link_sinrs(block, config, at), kinds)
             out[..., first:first + rows] = rates.transpose(0, 2, 1)
-        yield from out
+        yield out
 
 
-def _run_item(config: ScenarioConfig, distances: np.ndarray, start: int,
+def _run_item(config: ScenarioConfig, groups: list[np.ndarray], start: int,
               stop: int, kinds: tuple[StrategyKind, ...]) -> list[np.ndarray]:
     """_item_tables as a list: one pool work item."""
-    return list(_item_tables(config, distances, start, stop, kinds))
+    return list(_item_tables(config, groups, start, stop, kinds))
 
 
 def _tables(config: ScenarioConfig, distances_m: Sequence[float],
             trials: int, kinds: tuple[StrategyKind, ...], workers: int,
             ) -> Iterator[np.ndarray]:
-    """The C-contiguous (len(kinds), trials) table of trials 0..trials-1
-    at each of distances_m, which replace config.distance_m, in order.
-    Each table is its caller's own: no other table shares its memory.
+    """The C-contiguous (points, len(kinds), trials) array of trials
+    0..trials-1 at each group of distances_m, which replace
+    config.distance_m, in order; each is its caller's own. The run fixes
+    the groups, ROWS // min(trials, ROWS) distances each.
 
-    A work item is a range of whole ROWS over every distance, up to
+    A work item is a range of whole ROWS over every group, up to
     ITEMS_PER_WORKER items per process. One pool serves them all, capped
     at os.cpu_count() and at the number of items; a cap of one runs
-    serially, as one item. The pool is shut down before the first table
+    serially, as one item. The pool is shut down before the first array
     is yielded."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -138,20 +118,22 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     if not kinds:
         raise ValueError("at least one strategy is required")
     distances = np.array(distances_m, dtype=float)
+    group = ROWS // min(trials, ROWS)
+    groups = [distances[i:i + group] for i in range(0, len(distances), group)]
     workers = min(workers, os.cpu_count() or 1)
     chunks = -(-trials // ROWS)
     step = -(-chunks // min(chunks, ITEMS_PER_WORKER * workers)) * ROWS
     starts = range(0, trials, step)
     workers = min(workers, len(starts))
     if workers <= 1:
-        yield from _item_tables(config, distances, 0, trials, kinds)
+        yield from _item_tables(config, groups, 0, trials, kinds)
         return
     stops = [min(start + step, trials) for start in starts]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_item, repeat(config), repeat(distances),
+        parts = list(pool.map(_run_item, repeat(config), repeat(groups),
                               starts, stops, repeat(kinds)))
-    for tables in zip(*parts):
-        yield np.concatenate(tables, axis=1)
+    for arrays in zip(*parts):
+        yield np.concatenate(arrays, axis=-1)
 
 
 def run_point(config: ScenarioConfig, trials: int,
@@ -160,7 +142,7 @@ def run_point(config: ScenarioConfig, trials: int,
     """Per-trial spectral efficiencies at one distance, in trial order,
     independent of the worker count."""
     kinds = tuple(strategies)
-    (table,) = _tables(config, (config.distance_m,), trials, kinds, workers)
+    ((table,),) = _tables(config, (config.distance_m,), trials, kinds, workers)
     return dict(zip(kinds, table))
 
 
@@ -170,8 +152,8 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
               workers: int = 1,
               ) -> dict[tuple[StrategyKind, float], SummaryStats]:
     """Summary statistics per (strategy, distance) over trials at each of
-    the distances, which replace config.distance_m. Each point is
-    aggregated as soon as its table is complete, from its sorted rows."""
+    the distances, which replace config.distance_m. Each group is
+    aggregated in one pass over its sorted rows as soon as it is complete."""
     if len(distances_m) == 0:
         raise ValueError("distances_m must be non-empty")
     if any(b <= a for a, b in zip(distances_m, distances_m[1:])):
@@ -179,11 +161,18 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
     if not all(math.isfinite(d) and d > 0 for d in distances_m):
         raise ValueError("distance_m must be positive and finite")
     kinds = tuple(strategies)
-    tables = _tables(config, distances_m, trials, kinds, workers)
+    points = iter(distances_m)
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
-    for table, distance in zip(tables, distances_m):
-        for kind, stats in zip(kinds, _summaries(_sorted(table))):
-            results[(kind, distance)] = stats
+    for group in _tables(config, distances_m, trials, kinds, workers):
+        group.sort(axis=-1)
+        ranks = [_rank(p, group.shape[-1]) for p in (10, 50, 90)]
+        # np.mean over the last axis of a C-contiguous array sums each row
+        # pairwise, as np.mean of that row alone does
+        stats = np.concatenate((group.mean(axis=-1, keepdims=True),
+                                group[..., ranks]), axis=-1).tolist()
+        for row, distance in zip(stats, points):
+            for kind, values in zip(kinds, row):
+                results[(kind, distance)] = SummaryStats._make(values)
     return results
 
 
@@ -194,5 +183,6 @@ def run_cdf(config: ScenarioConfig, trials: int,
     the per-trial values in ascending order, the i-th (1-based) of n at
     F = i / n."""
     kinds = tuple(strategies)
-    (table,) = _tables(config, (config.distance_m,), trials, kinds, workers)
-    return dict(zip(kinds, _sorted(table)))
+    ((table,),) = _tables(config, (config.distance_m,), trials, kinds, workers)
+    table.sort(axis=-1)
+    return dict(zip(kinds, table))

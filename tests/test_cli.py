@@ -399,14 +399,20 @@ class TestFailureModes:
         assert rc != 0
         assert list(target_dir.iterdir()) == []
 
-    def test_run_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [
+        OSError("pool could not start"),
+        MemoryError("Unable to allocate 745. GiB for an array")],
+        ids=lambda e: type(e).__name__)
+    def test_run_error_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                   error):
+        # the raise is stubbed: a real huge allocation may succeed under
+        # memory overcommit and fill the host's memory
         def run_sweep(*args):
-            raise OSError("pool could not start")
+            raise error
 
         monkeypatch.setattr(cli, "run_sweep", run_sweep)
         assert main(["--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err \
-            == "relaysim: error: pool could not start\n"
+        assert capsys.readouterr().err == f"relaysim: error: {error}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_file_path(self, capsys):

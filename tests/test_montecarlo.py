@@ -9,6 +9,7 @@ import pytest
 from relaysim import montecarlo
 from relaysim.cli import format_cdf_csv
 from relaysim.montecarlo import (
+    SummaryStats,
     percentile,
     run_cdf,
     run_point,
@@ -45,9 +46,16 @@ def pool_sizes(monkeypatch):
 
 
 def _stats(samples):
-    """SummaryStats of one row of samples, as run_sweep aggregates it."""
-    (stats,) = montecarlo._summaries(np.sort(samples)[None])
-    return stats
+    """SummaryStats of one row of samples, computed apart from run_sweep:
+    the mean of the sorted samples and their nearest-rank percentiles."""
+    s = np.sort(samples)
+    return SummaryStats(float(np.mean(s)),
+                        *(percentile(s, p) for p in (10, 50, 90)))
+
+
+def _point_tables(groups):
+    """The (strategies, trials) table of each point of _tables' groups."""
+    return [table for group in groups for table in group]
 
 
 class TestEmpiricalCdf:
@@ -180,10 +188,10 @@ class TestRunPoint:
         cfg = ScenarioConfig(distance_m=60.0, seed=24,
                              interferer_min=0, interferer_max=4)
         n = 2 * montecarlo.BLOCK_TRIALS + 7
-        at = np.array([cfg.distance_m])
-        (whole,) = montecarlo._run_item(cfg, at, 0, n, ALL_STRATEGIES)
+        groups = [np.array([cfg.distance_m])]
+        ((whole,),) = montecarlo._run_item(cfg, groups, 0, n, ALL_STRATEGIES)
         cuts = [0, 5, montecarlo.BLOCK_TRIALS + 3, n]
-        pieces = [montecarlo._run_item(cfg, at, a, b, ALL_STRATEGIES)[0]
+        pieces = [montecarlo._run_item(cfg, groups, a, b, ALL_STRATEGIES)[0][0]
                   for a, b in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(whole, np.hstack(pieces))
 
@@ -270,9 +278,9 @@ class TestRunSweep:
         distances = (15.0, 40.0, 85.0)
         trials = 2 * montecarlo.BLOCK_TRIALS + 7
         swept = run_sweep(cfg, distances, trials, workers=workers)
-        tables = montecarlo._tables(cfg, distances, trials, ALL_STRATEGIES,
-                                    workers)
-        for d, table in zip(distances, tables):
+        tables = _point_tables(montecarlo._tables(
+            cfg, distances, trials, ALL_STRATEGIES, workers))
+        for d, table in zip(distances, tables, strict=True):
             alone = run_point(replace(cfg, distance_m=d), trials)
             for j, kind in enumerate(ALL_STRATEGIES):
                 np.testing.assert_array_equal(table[j], alone[kind])
@@ -301,10 +309,10 @@ class TestRunSweep:
     def test_pooled_runs_make_the_serial_draws(self, pool_sizes,
                                                monkeypatch):
         # ROWS is the one unit of work: work items are ranges of whole
-        # ROWS, so at any worker count a run draws the serial run's ranges
-        # and makes no more link_sinrs calls (a short last item may pack
-        # more distances per call). The engine's numpy calls are stubbed
-        # out: only their arguments are counted.
+        # ROWS, and the run, not the item, fixes the distance groups, so
+        # at any worker count a run draws the serial run's ranges and makes
+        # exactly the serial run's link_sinrs calls. The engine's numpy
+        # calls are stubbed out: only their arguments are counted.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         drawn, calls = [], []
         rates = np.zeros((46, montecarlo.ROWS, 1))
@@ -339,7 +347,7 @@ class TestRunSweep:
                 for workers, (draws, placed) in enumerate(runs, start=1):
                     case = (trials, points, workers)
                     assert draws == serial_draws, case
-                    assert placed <= serial_calls, case
+                    assert placed == serial_calls, case
         assert set(pool_sizes) == {2, 3, 4}
 
     @staticmethod
@@ -381,15 +389,15 @@ class TestRunSweep:
             calls.clear()
             swept = run_sweep(cfg, distances, trials, workers=workers)
             assert calls == placements
-            tables = montecarlo._tables(cfg, distances, trials,
-                                        ALL_STRATEGIES, workers)
-            for d, table in zip(distances, tables):
+            tables = _point_tables(montecarlo._tables(
+                cfg, distances, trials, ALL_STRATEGIES, workers))
+            for d, table in zip(distances, tables, strict=True):
                 alone = run_point(replace(cfg, distance_m=d), trials)
                 for j, kind in enumerate(ALL_STRATEGIES):
                     np.testing.assert_array_equal(table[j], alone[kind])
                     assert swept[(kind, d)] == _stats(alone[kind])
 
-    def test_group_size_is_per_item(self, pool_sizes, monkeypatch):
+    def test_group_size_is_per_run(self, pool_sizes, monkeypatch):
         cfg = ScenarioConfig(seed=45)
         distances = tuple(float(L) for L in range(12, 104, 4))
         calls = self._count_placements(monkeypatch)
@@ -405,15 +413,15 @@ class TestRunSweep:
         run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,))
         assert drawn == [(0, 2 * b), (2 * b, 2 * b + 7)]
         assert calls == [1] * 6
-        # at two workers each item is a range of whole ROWS: the 512-row
-        # item goes one distance per call, as the serial run does, and the
-        # 7-row tail item packs all three into one call
+        # at two workers each item is a range of whole ROWS over the run's
+        # groups: the 512-row item and the 7-row tail item both go one
+        # distance per call, as the serial run does
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         calls.clear()
         run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,),
                   workers=2)
         assert pool_sizes == [2]
-        assert calls == [1, 1, 1, 3]
+        assert calls == [1] * 6
 
     @pytest.mark.parametrize("rows", [1, 2, 4], ids=lambda k: f"{k}_blocks")
     def test_tables_do_not_depend_on_rows(self, rows, pool_sizes,
@@ -444,23 +452,26 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tables_are_contiguous_and_disjoint(self, workers, monkeypatch):
-        # _sorted sorts each table in place and _summaries takes each
-        # row's pairwise mean: both need every table C-contiguous and
-        # sharing no memory with another
+        # run_sweep sorts each group in place and takes each row's
+        # pairwise mean, and run_cdf sorts its point's table in place: all
+        # need every group C-contiguous and sharing no memory with another.
+        # 50 trials make one group of ten points; more than ROWS trials
+        # make groups of one point
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg = ScenarioConfig(seed=46)
         b = montecarlo.BLOCK_TRIALS
-        for points, trials in ((10, 50), (3, 2 * b + 7)):
+        for points, trials, sizes in ((10, 50, [10]),
+                                      (3, 2 * b + 7, [1, 1, 1])):
             distances = tuple(float(L) for L in range(10, 10 + 10 * points,
                                                       10))
-            tables = list(montecarlo._tables(cfg, distances, trials,
+            groups = list(montecarlo._tables(cfg, distances, trials,
                                              ALL_STRATEGIES, workers))
-            assert len(tables) == points
-            for i, table in enumerate(tables):
-                assert table.shape == (len(ALL_STRATEGIES), trials)
-                assert table.flags.c_contiguous
-                for other in tables[:i]:
-                    assert not np.shares_memory(table, other)
+            assert [len(group) for group in groups] == sizes
+            for i, group in enumerate(groups):
+                assert group.shape[1:] == (len(ALL_STRATEGIES), trials)
+                assert group.flags.c_contiguous
+                for other in groups[:i]:
+                    assert not np.shares_memory(group, other)
 
     def test_rejects_bad_distances(self):
         cfg = ScenarioConfig()
