@@ -144,10 +144,12 @@ def test_criterion_7_relaying_reliability_at_70m():
 
 
 def test_criterion_8_worker_count_determinism(tmp_path):
+    # more trials than ROWS, so the workers-3 run starts a pool on any
+    # host with two or more CPUs
     digests = []
     for name, workers in (("w1.csv", "1"), ("w3.csv", "3")):
         out = str(tmp_path / name)
-        rc = main(["--mode", "sweep", "--trials", "200", "--seed", "42",
+        rc = main(["--mode", "sweep", "--trials", "1100", "--seed", "42",
                    "--workers", workers, "--out", out])
         assert rc == 0
         digests.append(

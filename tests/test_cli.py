@@ -350,6 +350,35 @@ class TestCsvFormat:
         format_cdf_csv(cdfs, fh)
         _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
 
+    @staticmethod
+    def _mixed_counts():
+        """Two strategies that share a three-chunk n, and a third that
+        sorts between them with n one row short of a chunk."""
+        rng = np.random.default_rng(2012)
+        sizes = (2 * cli.CDF_ROWS_PER_WRITE + 1,
+                 2 * cli.CDF_ROWS_PER_WRITE + 1,
+                 cli.CDF_ROWS_PER_WRITE - 1)
+        return {kind: np.sort(rng.uniform(0.0, 30.0, n))
+                for kind, n in zip(ALL_STRATEGIES, sizes)}
+
+    def test_cdf_shares_columns_only_within_one_count(self):
+        cdfs = self._mixed_counts()
+        fh = io.StringIO()
+        format_cdf_csv(cdfs, fh)
+        _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
+
+    def test_cdf_writes_at_most_a_chunk_of_rows(self):
+        cdfs = self._mixed_counts()
+        writes = []
+        fh = io.StringIO()
+        fh.write = writes.append
+        format_cdf_csv(cdfs, fh)
+        assert writes[0] == "strategy,spectral_efficiency,cdf\n"
+        assert all(0 < text.count("\n") <= cli.CDF_ROWS_PER_WRITE
+                   for text in writes[1:])
+        assert len(writes) == 1 + 3 + 3 + 1
+        _assert_same_rows("".join(writes), _cdf_rows(cdfs))
+
     @hypothesis.settings(max_examples=50, deadline=None)
     @given(kinds=st.lists(st.sampled_from(ALL_STRATEGIES), min_size=1,
                           unique=True),
