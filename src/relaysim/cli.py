@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, TextIO
 
 import numpy as np
@@ -32,8 +33,8 @@ _MODES = ("sweep", "cdf")
 MAX_SWEEP_POINTS = 100_000
 # cdf rows formatted per write: large enough that the write calls cost
 # little, small enough that one chunk's text stays a small part of the
-# run. The i / n text of every chunk of one sample count is held for the
-# whole write, about 9 bytes per trial.
+# run. The i / n text of every chunk is made once per call and held for
+# the whole write, about 9 bytes per trial.
 CDF_ROWS_PER_WRITE = 4096
 
 
@@ -260,46 +261,38 @@ def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
 
 
 def format_sweep_csv(results) -> str:
-    """The sweep CSV. All rows are formatted by one `%` call, so the loop
-    over rows runs in C, not as Python code per row; `%g` and `%.6f`
-    give the same text as `:g` and `:.6f`."""
-    rows = sorted([(kind.value, distance, s)
-                   for (kind, distance), s in results.items()],
-                  key=itemgetter(0, 1))
-    values = []
-    for name, distance, s in rows:
-        values += (name, distance, s.mean, s.p10, s.p50, s.p90)
+    """The sweep CSV, rows sorted whole (their (strategy, distance) keys
+    are unique) and all formatted by one `%` call, so the loop over rows
+    runs in C; `%g` and `%.6f` give the same text as `:g` and `:.6f`."""
+    rows = sorted((kind.value, distance, *s)
+                  for (kind, distance), s in results.items())
     return ("strategy,distance_m,mean_se,p10_se,p50_se,p90_se\n"
-            + "%s,%g,%.6f,%.6f,%.6f,%.6f\n" * len(rows) % tuple(values))
+            + "%s,%g,%.6f,%.6f,%.6f,%.6f\n" * len(rows)
+            % tuple(itertools.chain.from_iterable(rows)))
 
 
 def format_cdf_csv(cdfs, fh: TextIO) -> None:
-    """Write the cdf CSV of run_cdf's sorted rows to fh,
-    CDF_ROWS_PER_WRITE rows at a time, so the text of one chunk is
-    bounded. The i / n text of each chunk is made once per sample count n
-    and shared by the strategies with that n, so it is held for the whole
-    call: about 9 bytes per trial.
+    """Write the cdf CSV of run_cdf's sorted rows, which all hold the
+    same number n of samples, to fh, CDF_ROWS_PER_WRITE rows at a time,
+    so the text of one chunk is bounded. The i / n text of every chunk
+    is made once per call and shared by all strategies, so it is held
+    for the whole call: about 9 bytes per trial.
 
     Each text is made by one `%` call, so the loop over rows runs in C,
     not as Python code per row. numpy's i / n is the correctly rounded
     double that Python's is (n < 2**53), and `%.6f` gives the same text
     as `:.6f`."""
     fh.write("strategy,spectral_efficiency,cdf\n")
-    columns: dict[int, list[str]] = {}
+    n = len(next(iter(cdfs.values())))
+    starts = range(0, n, CDF_ROWS_PER_WRITE)
+    columns = []
+    for first in starts:
+        ranks = np.arange(first + 1, min(first + CDF_ROWS_PER_WRITE, n) + 1)
+        columns.append("%.6f\n" * ranks.size % tuple((ranks / n).tolist()))
     for kind in sorted(cdfs, key=attrgetter("value")):
-        samples = cdfs[kind]
-        n = samples.size
-        if n not in columns:
-            columns[n] = []
-            for first in range(0, n, CDF_ROWS_PER_WRITE):
-                ranks = np.arange(first + 1,
-                                  min(first + CDF_ROWS_PER_WRITE, n) + 1)
-                columns[n].append(
-                    "%.6f\n" * ranks.size % tuple((ranks / n).tolist()))
         head = kind.value + ",%.6f,"
-        for first, column in zip(range(0, n, CDF_ROWS_PER_WRITE),
-                                 columns[n]):
-            chunk = samples[first:first + CDF_ROWS_PER_WRITE]
+        for first, column in zip(starts, columns):
+            chunk = cdfs[kind][first:first + CDF_ROWS_PER_WRITE]
             template = head + column[:-1].replace("\n", "\n" + head) + "\n"
             fh.write(template % tuple(chunk.tolist()))
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,14 @@ class TestConfigFile:
     def test_comments_and_whitespace(self, tmp_path):
         path = _write(tmp_path, "  trials = 42   # inline comment\n")
         assert parse_config_file(path) == {"trials": 42}
+
+    def test_boolean_words(self, tmp_path):
+        path = _write(tmp_path, "blocked_direct = no\n")
+        assert parse_config_file(path) == {"blocked_direct": False}
+        path = _write(tmp_path, "trials = 5\nblocked_direct = maybe\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: bad value for blocked_direct: not a boolean")):
+            parse_config_file(path)
 
     def test_invalid_distance_names_invariant(self, tmp_path):
         path = _write(tmp_path, "distance_m = -5\n")
@@ -330,13 +339,13 @@ class TestCsvFormat:
              cli.CDF_ROWS_PER_WRITE + 1, 2 * cli.CDF_ROWS_PER_WRITE + 1)
 
     @hypothesis.settings(max_examples=20, deadline=None)
-    @given(sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=3),
+    @given(n=st.sampled_from(SIZES), count=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1),
            extra=st.lists(st.floats(0.0, 1e6), max_size=8))
-    def test_cdf_matches_row_formula(self, sizes, seed, extra):
+    def test_cdf_matches_row_formula(self, n, count, seed, extra):
         rng = np.random.default_rng(seed)
         cdfs = {}
-        for kind, n in zip(ALL_STRATEGIES, sizes):
+        for kind in ALL_STRATEGIES[:count]:
             values = rng.uniform(0.0, 30.0, n)
             pick = rng.integers(0, 4, n)
             # near and exact ties at the sixth decimal, and zeros
@@ -350,25 +359,12 @@ class TestCsvFormat:
         format_cdf_csv(cdfs, fh)
         _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
 
-    @staticmethod
-    def _mixed_counts():
-        """Two strategies that share a three-chunk n, and a third that
-        sorts between them with n one row short of a chunk."""
-        rng = np.random.default_rng(2012)
-        sizes = (2 * cli.CDF_ROWS_PER_WRITE + 1,
-                 2 * cli.CDF_ROWS_PER_WRITE + 1,
-                 cli.CDF_ROWS_PER_WRITE - 1)
-        return {kind: np.sort(rng.uniform(0.0, 30.0, n))
-                for kind, n in zip(ALL_STRATEGIES, sizes)}
-
-    def test_cdf_shares_columns_only_within_one_count(self):
-        cdfs = self._mixed_counts()
-        fh = io.StringIO()
-        format_cdf_csv(cdfs, fh)
-        _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
-
     def test_cdf_writes_at_most_a_chunk_of_rows(self):
-        cdfs = self._mixed_counts()
+        # three strategies of two whole chunks and one row each
+        rng = np.random.default_rng(2012)
+        cdfs = {kind: np.sort(rng.uniform(0.0, 30.0,
+                                          2 * cli.CDF_ROWS_PER_WRITE + 1))
+                for kind in ALL_STRATEGIES[:3]}
         writes = []
         fh = io.StringIO()
         fh.write = writes.append
@@ -376,7 +372,7 @@ class TestCsvFormat:
         assert writes[0] == "strategy,spectral_efficiency,cdf\n"
         assert all(0 < text.count("\n") <= cli.CDF_ROWS_PER_WRITE
                    for text in writes[1:])
-        assert len(writes) == 1 + 3 + 3 + 1
+        assert len(writes) == 1 + 3 * 3
         _assert_same_rows("".join(writes), _cdf_rows(cdfs))
 
     @hypothesis.settings(max_examples=50, deadline=None)
@@ -460,8 +456,14 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("argv,message", [
         (["--bogus"], "unrecognized arguments: --bogus"),
-        (["--trials"], "argument --trials: expected one argument")],
-        ids=["unknown-flag", "missing-value"])
+        (["--trials"], "argument --trials: expected one argument"),
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--strategies", ","], "bad value for strategies: empty strategy "
+                                "list"),
+        (["--lmin", "50", "--lmax", "20"], "lmin must not exceed lmax")],
+        ids=["unknown-flag", "missing-value", "zero-trials", "zero-workers",
+             "empty-strategies", "lmin-above-lmax"])
     def test_usage_error_is_one_line(self, capsys, argv, message):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"relaysim: error: {message}\n")

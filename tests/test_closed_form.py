@@ -11,16 +11,19 @@ probability then have closed forms, averaged over the 16 channels.
 With interference on, the interferer powers at D are independent
 exponentials too, so the direct link's success probability stays exact
 in the fading; only the average over interferer positions is numerical,
-a GRID x GRID midpoint rule over the box. The seed, the size and the
-bound are fixed in advance; each statistical check passes when
-|z| < Z_BOUND against the engine's own standard error.
+a GRID x GRID midpoint rule over the box. The same holds for df_single's
+outage with interference off: given the channel and the relay's
+position, its decode and MRC events are exact in the fading. The seed,
+the size and the bound are fixed in advance; each statistical check
+passes when |z| < Z_BOUND against the engine's own standard error.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from scipy.special import exp1, exprel
 
 from relaysim.montecarlo import run_point
 from relaysim.scenario import ScenarioConfig, draw_block
@@ -49,6 +52,15 @@ def _mean_mw(cfg, power_dbm, distance_m):
                     / 10.0)
 
 
+def _box_midpoints(L):
+    """x and y of the GRID x GRID midpoints of the box [0, L] x
+    [-L/2, L/2], where relays and interferers are uniform, as flat
+    arrays."""
+    u = (np.arange(GRID) + 0.5) / GRID
+    x, y = np.meshgrid(u * L, (u - 0.5) * L)
+    return x.ravel(), y.ravel()
+
+
 def _mean_snrs(cfg):
     """gbar_k of the direct link on each channel k = 11..26."""
     return _mean_mw(cfg, cfg.tx_power_dbm, cfg.distance_m)[:, 0] \
@@ -64,15 +76,35 @@ def _direct_success_with_interferers(cfg, rate):
     E_pos[1 / (1 + t a_I(pos) / a_s)]; otherwise the factor is 1. The
     interferer count is uniform on interferer_min..interferer_max."""
     L, t = cfg.distance_m, 2.0 ** rate - 1.0
-    u = (np.arange(GRID) + 0.5) / GRID
-    x, y = np.meshgrid(u * L, (u - 0.5) * L)
+    x, y = _box_midpoints(L)
     a_s = _mean_mw(cfg, cfg.tx_power_dbm, L)
-    a_i = _mean_mw(cfg, cfg.interferer_power_dbm, np.hypot(L - x, y).ravel())
+    a_i = _mean_mw(cfg, cfg.interferer_power_dbm, np.hypot(L - x, y))
     each = 15 / 16 + np.mean(1.0 / (1.0 + t * a_i / a_s), axis=1) / 16
     counts = np.arange(cfg.interferer_min, cfg.interferer_max + 1)
     noise = 10.0 ** (cfg.noise_power_dbm / 10.0)
     return np.mean(np.exp(-t * noise / a_s[:, 0])
                    * np.mean(each[:, None] ** counts, axis=1))
+
+
+def _df_single_outage(cfg, rate):
+    """P(SE < rate) of df_single with interference off. With
+    t = 2^(2 rate) - 1 (the half-duplex prelog) and independent
+    X ~ Exp(1), the rate is met when the relay decodes, X_SR a_SR >= t,
+    and the destination's MRC sum does too, X_SD a_SD + X_RD a_RD >= t
+    (Laneman, Tse & Wornell, IEEE Trans. IT 50(12), 2004). For means
+    a >= b, P(X a + Y b >= t) = (a e^(-t/a) - b e^(-t/b)) / (a - b)
+    = e^(-t/a) (1 + (t/a) exprel(t/a - t/b)), exprel(x) = (e^x - 1)/x,
+    which is stable where a ~ b, and no term overflows. It is averaged
+    over the relay's position and the 16 channels."""
+    L, t = cfg.distance_m, 2.0 ** (2.0 * rate) - 1.0
+    x, y = _box_midpoints(L)
+    noise = 10.0 ** (cfg.noise_power_dbm / 10.0)
+    a_sr, a_rd = (_mean_mw(cfg, cfg.tx_power_dbm, np.hypot(dx, y)) / noise
+                  for dx in (x, L - x))
+    a_sd = _mean_snrs(cfg)[:, None]
+    a, b = np.maximum(a_sd, a_rd), np.minimum(a_sd, a_rd)
+    mrc = np.exp(-t / a) * (1.0 + t / a * exprel(t / a - t / b))
+    return 1.0 - np.mean(np.exp(-t / a_sr) * mrc)
 
 
 def _z(estimate, truth, se):
@@ -112,6 +144,19 @@ def test_direct_success_matches_rayleigh_interferers(distance, lo, hi,
     p = np.mean(se >= rate)
     z = _z(p, truth, math.sqrt(p * (1.0 - p) / TRIALS))
     assert abs(z) < Z_BOUND, (p, truth, z)
+
+
+@pytest.mark.parametrize("distance,rates", [
+    (70.0, (3.0, 4.0)), (30.0, (5.0,)), (100.0, (3.0,))])
+def test_df_single_outage_matches_rayleigh_mrc(distance, rates):
+    cfg = replace(QUIET, distance_m=distance)
+    se = run_point(cfg, TRIALS, (StrategyKind.DF_SINGLE,))[
+        StrategyKind.DF_SINGLE]
+    for rate in rates:
+        truth = _df_single_outage(cfg, rate)
+        p = np.mean(se < rate)
+        z = _z(p, truth, math.sqrt(p * (1.0 - p) / TRIALS))
+        assert abs(z) < Z_BOUND, (rate, p, truth, z)
 
 
 def test_direct_exchange_equals_direct_without_interference():

@@ -59,6 +59,10 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_db(np.array([2405.0, np.nan]), 10.0, 28.0)
 
+    def test_rejects_flat_path_loss(self):
+        with pytest.raises(ValueError, match="coefficient must be positive"):
+            path_loss_db(2405.0, 10.0, 0.0)
+
     def test_empty_batch(self):
         # interference_mw passes the empty batch of a block with no
         # co-channel interferer

@@ -87,6 +87,13 @@ class TestConfigValidation:
         ("seed", True, "seed must be an integer"),
         ("interferer_min", 1.0, "interferer_min must be an integer"),
         ("interferer_max", 2.5, "interferer_max must be an integer"),
+        # well typed, but out of range
+        ("interferer_power_dbm", float("nan"),
+         "interferer_power_dbm must be finite or -inf"),
+        ("interferer_power_dbm", float("inf"),
+         "interferer_power_dbm must be finite or -inf"),
+        ("path_loss_coeff_db_per_decade", 0.0,
+         "path_loss_coeff_db_per_decade must be > 0"),
     ])
     def test_rejects_mistyped_field(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
