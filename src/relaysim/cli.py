@@ -321,7 +321,3 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"wrote {out}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -66,10 +66,6 @@ class SummaryStats(NamedTuple):
     p50: float
     p90: float
 
-    @property
-    def spread(self) -> float:
-        return self.p90 - self.p10
-
 
 def _item_tables(config: ScenarioConfig, groups: list[np.ndarray],
                  start: int, stop: int, kinds: tuple[StrategyKind, ...],

@@ -34,7 +34,7 @@ def dbm_to_mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
-def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float = 28.0):
+def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float):
     """ITU indoor path loss in dB, zero floor-penetration term.
 
     20*log10(f_MHz) + N*log10(d_m) - 28, with d clamped to MIN_DISTANCE_M.
@@ -49,10 +49,14 @@ def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float = 28.0):
         + coeff_db_per_decade * (np.log(d) / _LN10) - 28.0
 
 
-def received_mw(power_dbm, gain_db, path_loss, fading):
-    """Received power in mW of a link: transmit power plus antenna gains
-    minus path loss, times the power gain |h|^2 of its Rayleigh fading."""
-    return dbm_to_mw(power_dbm + gain_db - path_loss) * fading
+def received_mw(config: ScenarioConfig, power_dbm, freq_mhz,
+                offset: np.ndarray, fading):
+    """Received power in mW over the (..., 2) tx - rx offsets in m: transmit
+    power plus both antennas' gain minus the ITU path loss, times the
+    power gain |h|^2 of the links' Rayleigh fading."""
+    pl = path_loss_db(freq_mhz, np.hypot(offset[..., 0], offset[..., 1]),
+                      config.path_loss_coeff_db_per_decade)
+    return dbm_to_mw(power_dbm + 2.0 * config.antenna_gain_db - pl) * fading
 
 
 def place(u: np.ndarray, distance_m) -> np.ndarray:
@@ -98,33 +102,27 @@ def interference_mw(block: TrialBlock, config: ScenarioConfig,
     t, k = np.nonzero(block.interferer_mhz == block.carrier_mhz[:, None])
     offset = place(block.interferer_u[t, k], distance_m)[..., None, :] \
         - node_xy[..., t, :, :]
-    pl = path_loss_db(block.carrier_mhz[t, None],
-                      np.hypot(offset[..., 0], offset[..., 1]),
-                      config.path_loss_coeff_db_per_decade)
     fading = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4)[t, k]
-    power = received_mw(config.interferer_power_dbm,
-                        2.0 * config.antenna_gain_db, pl, fading)
+    power = received_mw(config, config.interferer_power_dbm,
+                        block.carrier_mhz[t, None], offset, fading)
     np.add.at(total, (..., t, slice(None)), power)
     return total
 
 
 def link_sinrs(block: TrialBlock, config: ScenarioConfig,
-               distance_m=None) -> np.ndarray:
+               distance_m) -> np.ndarray:
     """Linear SINR of every directed payload link of the block placed at
-    distance_m (default config.distance_m), shape (B, 8), or (G, B, 8) at
-    a 1-D array of G distances, with columns SD, DS, SR1, R1D, DR1, R1S,
-    SR2, R2D. Every operation is element-wise or sums over interferers,
-    so a row's SINRs do not depend on the other distances of the call."""
-    L = config.distance_m if distance_m is None else distance_m
-    node_xy = node_positions(block, L)
-    offset = node_xy[..., _PAIR_TX, :] - node_xy[..., _PAIR_RX, :]
-    pl = path_loss_db(block.carrier_mhz[:, None],
-                      np.hypot(offset[..., 0], offset[..., 1]),
-                      config.path_loss_coeff_db_per_decade)
-    signal = received_mw(config.tx_power_dbm, 2.0 * config.antenna_gain_db,
-                         pl, block.fading[:, :len(PAYLOAD_PAIRS)])
+    distance_m, shape (B, 8), or (G, B, 8) at a 1-D array of G distances,
+    with columns SD, DS, SR1, R1D, DR1, R1S, SR2, R2D. Every operation is
+    element-wise or sums over interferers, so a row's SINRs do not depend
+    on the other distances of the call."""
+    node_xy = node_positions(block, distance_m)
+    signal = received_mw(config, config.tx_power_dbm,
+                         block.carrier_mhz[:, None],
+                         node_xy[..., _PAIR_TX, :] - node_xy[..., _PAIR_RX, :],
+                         block.fading[:, :len(PAYLOAD_PAIRS)])
     if config.blocked_direct:
         signal[..., PAYLOAD_PAIRS.index((S, D))] = 0.0
     noise = dbm_to_mw(config.noise_power_dbm)
-    return signal[..., _LINK_PAIR] / (
-        interference_mw(block, config, node_xy, L)[..., _LINK_RX] + noise)
+    return signal[..., _LINK_PAIR] / (interference_mw(
+        block, config, node_xy, distance_m)[..., _LINK_RX] + noise)

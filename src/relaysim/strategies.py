@@ -131,10 +131,11 @@ def _rate_twoway_df(g_a, g_b):
     limited by its own downlink.
     """
     a_first = g_a >= g_b
-    r_a_mac = np.where(a_first, _lg(g_a / (1.0 + g_b)), _lg(g_a))
-    r_b_mac = np.where(a_first, _lg(g_b), _lg(g_b / (1.0 + g_a)))
-    return (0.5 * np.minimum(r_a_mac, _lg(g_b)),
-            0.5 * np.minimum(r_b_mac, _lg(g_a)))
+    lg_a, lg_b = _lg(g_a), _lg(g_b)
+    r_a_mac = np.where(a_first, _lg(g_a / (1.0 + g_b)), lg_a)
+    r_b_mac = np.where(a_first, lg_b, _lg(g_b / (1.0 + g_a)))
+    return (0.5 * np.minimum(r_a_mac, lg_b),
+            0.5 * np.minimum(r_b_mac, lg_a))
 
 
 rate_direct = _checked(_rate_direct)

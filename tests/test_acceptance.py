@@ -171,7 +171,7 @@ def test_criterion_9_invariant_suite():
             <= 1e-9 * max(1, abs(dbm))
 
     # path-loss monotonicity in distance
-    pl = [path_loss_db(2440.0, d) for d in np.linspace(1, 500, 200)]
+    pl = [path_loss_db(2440.0, d, 28.0) for d in np.linspace(1, 500, 200)]
     ok &= all(b > a for a, b in zip(pl, pl[1:]))
 
     # the payload links' fading |h|^2 ~ exponential(1)

@@ -117,7 +117,7 @@ def _unit_fading_block(L, interferers=()):
 
 
 def _sinr(block, cfg, link):
-    return link_sinrs(block, cfg)[0, link]
+    return link_sinrs(block, cfg, cfg.distance_m)[0, link]
 
 
 def _interference_mw(block, cfg, distance_m=None):
@@ -188,11 +188,14 @@ class TestLinkSinr:
 
 class TestLinkBudget:
     def test_rx_power_identity(self):
-        # the dB budget with 20*log10|h| equals the linear one with |h|^2
+        # the dB budget with 20*log10|h| equals the linear one with |h|^2;
+        # the 3-4-5 offset is 10 m, and both antennas add 2.5 dB
         h = abs(complex(0.5, 0.5))
-        expected = 0.0 + 5.0 - 67.62 + 20 * math.log10(h)
-        assert dbm_to_mw(expected) == pytest.approx(
-            received_mw(0.0, 5.0, 67.62, h * h), rel=1e-12)
+        pl = 20 * math.log10(2405.0) + 28.0 * math.log10(10.0) - 28.0
+        expected = 0.0 + 5.0 - pl + 20 * math.log10(h)
+        assert received_mw(ScenarioConfig(), 0.0, 2405.0,
+                           np.array([6.0, 8.0]), h * h) == pytest.approx(
+            dbm_to_mw(expected), rel=1e-12)
 
 
 class TestBuildLinkSet:
@@ -201,16 +204,17 @@ class TestBuildLinkSet:
     def test_matches_link_sinr(self):
         # a trial's SINRs do not depend on the block it is evaluated in
         cfg = ScenarioConfig(distance_m=70.0, seed=9)
-        block = link_sinrs(draw_block(cfg, 0, 12), cfg)
+        block = link_sinrs(draw_block(cfg, 0, 12), cfg, cfg.distance_m)
         for t in range(12):
-            alone = link_sinrs(draw_block(cfg, t, t + 1), cfg)[0]
+            alone = link_sinrs(draw_block(cfg, t, t + 1), cfg,
+                               cfg.distance_m)[0]
             assert block[t] == pytest.approx(alone, rel=1e-12)
 
     def test_powers_nonnegative_and_noise_floor(self):
         cfg = ScenarioConfig(distance_m=70.0, seed=9)
         block = draw_block(cfg, 8, 9)
         assert np.all(_interference_mw(block, cfg) >= 0.0)
-        sinr = link_sinrs(block, cfg)
+        sinr = link_sinrs(block, cfg, cfg.distance_m)
         assert np.all(sinr >= 0.0) and np.all(np.isfinite(sinr))
         quiet = ScenarioConfig(distance_m=70.0, seed=9,
                                interferer_power_dbm=float("-inf"))
@@ -236,8 +240,8 @@ class TestDistanceAxis:
         # interferer_max=12 sums more than 8 terms, where numpy's pairwise
         # sum would no longer match the sequential one
         assert block.interferer_mhz.shape[1] == cfg.interferer_max
-        stacked = np.stack([link_sinrs(block, ScenarioConfig(
-            seed=31, distance_m=d, **scenario)) for d in self.DISTANCES])
+        stacked = np.stack([link_sinrs(block, cfg, d)
+                            for d in self.DISTANCES])
         np.testing.assert_array_equal(
             link_sinrs(block, cfg, self.DISTANCES), stacked)
         np.testing.assert_array_equal(
@@ -263,9 +267,7 @@ class TestDistanceAxis:
         assert place(block.relay_u, 70.0).shape == (7, 2, 2)
         assert node_positions(block, 70.0).shape == (7, 4, 2)
         assert _interference_mw(block, cfg).shape == (7, 4)
-        assert link_sinrs(block, cfg).shape == (7, 8)
-        np.testing.assert_array_equal(link_sinrs(block, cfg),
-                                      link_sinrs(block, cfg, 70.0))
+        assert link_sinrs(block, cfg, 70.0).shape == (7, 8)
 
     @pytest.mark.parametrize("distance", [70.0, DISTANCES])
     def test_nodes_placed_once_per_call(self, monkeypatch, distance):
@@ -296,8 +298,8 @@ def _dense_interference_mw(block, config, distance_m=None):
                       np.hypot(offset[..., 0], offset[..., 1]),
                       config.path_loss_coeff_db_per_decade)
     fading = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4)
-    power = received_mw(config.interferer_power_dbm,
-                        2.0 * config.antenna_gain_db, pl, fading)
+    power = dbm_to_mw(config.interferer_power_dbm
+                      + 2.0 * config.antenna_gain_db - pl) * fading
     cochannel = block.interferer_mhz == block.carrier_mhz[:, None]
     return np.where(cochannel[..., None], power, 0.0).sum(axis=-2)
 

@@ -216,7 +216,7 @@ class TestSampling:
         # without interference a link's SINR is its signal over noise, so
         # one fading gain per pair gives equal SINRs in both directions
         cfg = ScenarioConfig(seed=23, interferer_power_dbm=float("-inf"))
-        sinr = link_sinrs(draw_block(cfg, 4, 5), cfg)[0]
+        sinr = link_sinrs(draw_block(cfg, 4, 5), cfg, cfg.distance_m)[0]
         assert sinr[SD] == sinr[DS]
         assert sinr[SR1] == sinr[R1S]
 
