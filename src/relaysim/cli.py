@@ -31,11 +31,10 @@ _MODES = ("sweep", "cdf")
 # Largest sweep grid accepted, so that a mistyped lstep fails at once
 # instead of building a huge grid.
 MAX_SWEEP_POINTS = 100_000
-# cdf rows formatted per write: large enough that the write calls cost
-# little, small enough that one chunk's text stays a small part of the
-# run. The i / n text of every chunk is made once per call and held for
-# the whole write, about 9 bytes per trial.
-CDF_ROWS_PER_WRITE = 4096
+# cdf rows formatted per write: large enough that the numpy calls of a
+# write cost little per row, small enough that its buffers (a few hundred
+# bytes a row, freed before the next write) stay a small part of the run.
+CDF_ROWS_PER_WRITE = 2048
 
 
 # A usage error is raised for main to report, not printed with exit 2.
@@ -271,30 +270,68 @@ def format_sweep_csv(results) -> str:
             % tuple(itertools.chain.from_iterable(rows)))
 
 
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """Three tables of uint32 words, the four bytes of text of 0..999: as
+    an integer part, its leading zeros but the last made 0 bytes, and a
+    point; as three decimals and a 0 byte; as three decimals and a comma."""
+    return tuple(np.frombuffer("".join(map(form.format, range(1000)))
+                               .encode(), np.uint32)
+                 for form in ("{:\0>3}.", "{:03}\0", "{:03},"))
+
+
+def _cdf_rows(names: list[str], columns: list[np.ndarray],
+              cdf: np.ndarray) -> str:
+    """The rows `name,value,cdf` of each name's column of values and the
+    cdf column, as `%.6f` prints them: one buffer of uint32 words, the
+    name and a comma, then the _digit_words of q = rint(x * 1e6) of the
+    value and of the cdf, a line end last, and its 0 bytes dropped. A q
+    within 1e-6 of a tie is read back from `%.6f`, as x * 1e6 may round
+    across it. A write holding a value without such words (NaN, inf, a
+    negative or -0.0, or a q of 1e9 or more) is one `%` call instead."""
+    x = np.vstack((*columns, cdf))
+    y = x * 1e6
+    q = np.rint(y)
+    if not q.max() < 1e9 or x.view(np.int64).min() < 0:
+        return "".join((name + ",%.6f,%.6f\n") * len(cdf) for name in names) \
+            % tuple(np.stack(np.broadcast_arrays(x[:-1], cdf), -1)
+                    .ravel().tolist())
+    np.abs(np.subtract(y, q, out=y), out=y)
+    for i in np.flatnonzero(y > 0.5 - 1e-6):
+        q.flat[i] = float(("%.6f" % x.flat[i]).replace(".", ""))
+    high, low = np.divmod(q.astype(np.intp), 1000)
+    whole, mid = np.divmod(high, 1000)
+    point, digits, comma = _digit_words()
+    cells = np.stack((point[whole], digits[mid], comma[low]), axis=-1)
+    width = max(map(len, names)) // 4 + 1  # words of a name and a comma
+    heads = "".join(f"{name},".ljust(4 * width, "\0") for name in names)
+    words = np.empty((len(names), len(cdf), width + 6), np.uint32)
+    words[..., :width] = np.frombuffer(heads.encode(),
+                                       np.uint32).reshape(-1, 1, width)
+    words[..., width:width + 3] = cells[:-1]
+    words[..., width + 3:] = cells[-1]
+    words.view(np.uint8)[..., -1] = ord("\n")
+    text = words.tobytes()
+    del words, cells
+    return text.translate(None, b"\0").decode()
+
+
 def format_cdf_csv(cdfs, fh: TextIO) -> None:
     """Write the cdf CSV of run_cdf's sorted rows, which all hold the
-    same number n of samples, to fh, CDF_ROWS_PER_WRITE rows at a time,
-    so the text of one chunk is bounded. The i / n text of every chunk
-    is made once per call and shared by all strategies, so it is held
-    for the whole call: about 9 bytes per trial.
-
-    Each text is made by one `%` call, so the loop over rows runs in C,
-    not as Python code per row. numpy's i / n is the correctly rounded
-    double that Python's is (n < 2**53), and `%.6f` gives the same text
-    as `:.6f`."""
+    same number n of samples, to fh, at most CDF_ROWS_PER_WRITE rows at a
+    time: as many strategies' n rows as fit in one write, else one
+    strategy's rows a chunk at a time. Each write is one _cdf_rows call,
+    whose i / n column numpy makes as Python does (n < 2**53)."""
     fh.write("strategy,spectral_efficiency,cdf\n")
-    n = len(next(iter(cdfs.values())))
-    starts = range(0, n, CDF_ROWS_PER_WRITE)
-    columns = []
-    for first in starts:
-        ranks = np.arange(first + 1, min(first + CDF_ROWS_PER_WRITE, n) + 1)
-        columns.append("%.6f\n" * ranks.size % tuple((ranks / n).tolist()))
-    for kind in sorted(cdfs, key=attrgetter("value")):
-        head = kind.value + ",%.6f,"
-        for first, column in zip(starts, columns):
-            chunk = cdfs[kind][first:first + CDF_ROWS_PER_WRITE]
-            template = head + column[:-1].replace("\n", "\n" + head) + "\n"
-            fh.write(template % tuple(chunk.tolist()))
+    kinds = sorted(cdfs, key=attrgetter("value"))
+    n = len(cdfs[kinds[0]])
+    per = max(1, CDF_ROWS_PER_WRITE // max(n, 1))
+    for group in (kinds[i:i + per] for i in range(0, len(kinds), per)):
+        for first in range(0, n, CDF_ROWS_PER_WRITE):
+            stop = min(first + CDF_ROWS_PER_WRITE, n)
+            fh.write(_cdf_rows([kind.value for kind in group],
+                               [cdfs[kind][first:stop] for kind in group],
+                               np.arange(first + 1, stop + 1) / n))
 
 
 def run(settings: Settings, fh: TextIO) -> None:

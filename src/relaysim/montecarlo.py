@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
@@ -38,6 +37,13 @@ ITEMS_PER_WORKER = 4
 # be a whole number of contract blocks, or draw_block redraws the block
 # at each call boundary.
 ROWS = 2 * BLOCK_TRIALS
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported on its first use, so
+    that a serial run never imports it or multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _rank(p: float, n: int) -> int:
@@ -74,7 +80,8 @@ def _item_tables(config: ScenarioConfig, groups: list[np.ndarray],
     [start, stop) at each group `at` of distances, which replace
     config.distance_m, in order; all strategies of a trial share its
     draw. Each call places min(stop - start, ROWS) trials, drawn in one
-    range; a later group reuses them."""
+    range; a later group reuses them. A call whose SINRs or rates
+    overflow, or come to inf or NaN, raises ValueError."""
     rows = min(stop - start, ROWS)
     blocks = (draw_block(config, first, min(first + rows, stop))
               for first in range(start, stop, rows))
@@ -83,7 +90,13 @@ def _item_tables(config: ScenarioConfig, groups: list[np.ndarray],
     for at in groups:
         out = np.empty((len(at), len(kinds), stop - start))
         for first, block in zip(range(0, stop - start, rows), blocks):
-            rates = strategy_rates(link_sinrs(block, config, at), kinds)
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    rates = strategy_rates(link_sinrs(block, config, at),
+                                           kinds)
+            except FloatingPointError as exc:
+                raise ValueError(f"SINRs out of floating-point range ({exc}); "
+                                 "check the powers in dBm") from None
             out[..., first:first + rows] = rates.transpose(0, 2, 1)
         yield out
 

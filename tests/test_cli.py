@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -334,14 +335,35 @@ def _assert_same_rows(got: str, want: str) -> None:
 class TestCsvFormat:
     """The formatters give the bytes of the per-row f-strings."""
 
-    # one row short of, at, and one and two rows past a chunk boundary
-    SIZES = (1, cli.CDF_ROWS_PER_WRITE - 1, cli.CDF_ROWS_PER_WRITE,
+    # one row short of, at, and one and two rows past a chunk boundary;
+    # 1024 is a multiple of 128, so every 16th i / n is an exact tie, and
+    # two strategies of it share a write
+    SIZES = (1, 1024, cli.CDF_ROWS_PER_WRITE - 1, cli.CDF_ROWS_PER_WRITE,
              cli.CDF_ROWS_PER_WRITE + 1, 2 * cli.CDF_ROWS_PER_WRITE + 1)
+    # the exact ties at the sixth decimal are the odd multiples of 1/128;
+    # a value one ulp off one may still make x * 1e6 land on the tie
+    TIES = np.array([1, 3, 255, 1537, 127_999]) / 128
+    TIE_SIDES = [*TIES, *np.nextafter(TIES, 0), *np.nextafter(TIES, np.inf),
+                 # twoway_df at seed 3, 2 m, no interferers, 10k trials
+                 12.653440499999164]
+    # values the digit words cannot print: a write holding one is made
+    # by `%`. 999.9999996 is below 1000 but prints as 1000.000000, and
+    # 999.9999995 lies just below a tie that x * 1e6 rounds onto.
+    UNPRINTABLE = [math.inf, -0.0, 999.9999995, 999.9999996, 1000.0,
+                   12345.678901]
 
     @hypothesis.settings(max_examples=20, deadline=None)
     @given(n=st.sampled_from(SIZES), count=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1),
-           extra=st.lists(st.floats(0.0, 1e6), max_size=8))
+           extra=st.lists(st.floats(0.0, 1e6)
+                          | st.sampled_from(TIE_SIDES + UNPRINTABLE),
+                          max_size=8))
+    @hypothesis.example(n=1024, count=3, seed=1, extra=TIE_SIDES)
+    @hypothesis.example(n=cli.CDF_ROWS_PER_WRITE + 1, count=2, seed=2,
+                        extra=UNPRINTABLE + TIE_SIDES)
+    @hypothesis.example(n=1, count=3, seed=3, extra=[-0.0])
+    @hypothesis.example(n=cli.CDF_ROWS_PER_WRITE - 1, count=1, seed=4,
+                        extra=[999.9999995, 999.9999996])
     def test_cdf_matches_row_formula(self, n, count, seed, extra):
         rng = np.random.default_rng(seed)
         cdfs = {}
@@ -359,12 +381,15 @@ class TestCsvFormat:
         format_cdf_csv(cdfs, fh)
         _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
 
-    def test_cdf_writes_at_most_a_chunk_of_rows(self):
+    @pytest.mark.parametrize("n,count,chunks", [
         # three strategies of two whole chunks and one row each
+        (2 * cli.CDF_ROWS_PER_WRITE + 1, 3, 3 * 3),
+        # ten short strategies, as many per write as fit
+        (cli.CDF_ROWS_PER_WRITE // 5, 10, 2)])
+    def test_cdf_writes_at_most_a_chunk_of_rows(self, n, count, chunks):
         rng = np.random.default_rng(2012)
-        cdfs = {kind: np.sort(rng.uniform(0.0, 30.0,
-                                          2 * cli.CDF_ROWS_PER_WRITE + 1))
-                for kind in ALL_STRATEGIES[:3]}
+        cdfs = {kind: np.sort(rng.uniform(0.0, 30.0, n))
+                for kind in ALL_STRATEGIES[:count]}
         writes = []
         fh = io.StringIO()
         fh.write = writes.append
@@ -372,7 +397,7 @@ class TestCsvFormat:
         assert writes[0] == "strategy,spectral_efficiency,cdf\n"
         assert all(0 < text.count("\n") <= cli.CDF_ROWS_PER_WRITE
                    for text in writes[1:])
-        assert len(writes) == 1 + 3 * 3
+        assert len(writes) == 1 + chunks
         _assert_same_rows("".join(writes), _cdf_rows(cdfs))
 
     @hypothesis.settings(max_examples=50, deadline=None)
@@ -440,6 +465,24 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"relaysim: error: {error}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("tx_power_dbm,workers",
+                             [(4000, "1"), (2000, "1"), (4000, "2")])
+    def test_overflowing_sinrs_fail(self, tmp_path, capsys, monkeypatch,
+                                    tx_power_dbm, workers):
+        # a finite power whose mW, SINRs or rates overflow: one line, exit
+        # 1, no partial CSV and, under warnings as errors, no warning
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        path = _write(tmp_path, f"tx_power_dbm = {tx_power_dbm}\n")
+        out = tmp_path / "x.csv"
+        assert main(["--config", path, "--mode", "cdf", "--trials", "600",
+                     "--workers", workers, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("relaysim: error: SINRs out of floating-point "
+                              "range (overflow encountered in ")
+        assert err.endswith("); check the powers in dBm\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_config_file_path(self, capsys):
         rc = main(["--config", "/no/such/file.cfg"])
         assert rc != 0
@@ -495,10 +538,14 @@ _GOLDEN = {
     "config": (["--mode", "cdf", "--distance", "40", "--blocked-direct",
                 "--trials", "300", "--seed", "2"],
                "b4a71755359dd20e26dcd70b6545e4af92c17dfbbdbd67f28fa40a99754b0ff8"),
-    # more trials than CDF_ROWS_PER_WRITE: every strategy takes two chunks
+    # more trials than CDF_ROWS_PER_WRITE: each strategy takes three chunks
     "cdf_chunks": (["--mode", "cdf", "--distance", "70", "--trials", "4500",
                     "--seed", "5"],
                    "ffa649b359c017eecf3109d7975d15cfa42f7a239f9f5d670b5782005e86b15c"),
+    # n = 1024: the i / n of every odd multiple of 1/128 is an exact tie
+    # at the sixth decimal, which %.6f rounds half to even
+    "cdf_ties": (["--mode", "cdf", "--trials", "1024", "--seed", "1"],
+                 "c984ca663e1a3b42c8384a6791eb18bb5ab8c95e87a2e266cf77afa5289f2374"),
     # 46 points of 50 trials, placed 10 distances per call, among 4-12
     # interferers: some trials sum two co-channel terms
     "sweep_cochannel": (["--mode", "sweep", "--trials", "50", "--lstep", "2",
@@ -519,7 +566,7 @@ _GOLDEN_CONFIG = {
 
 # at two CPUs only the cases of more than ROWS trials start a pool, so the
 # 2-worker digests cover the pooled path as well as the serial one
-_POOLED = {"cdf_chunks", "sweep_tail"}
+_POOLED = {"cdf_chunks", "cdf_ties", "sweep_tail"}
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,7 +1,11 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +226,18 @@ class TestRunPoint:
 def test_rejects_nonpositive_workers(run, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run(workers)
+
+
+def test_import_leaves_out_the_pool():
+    # a serial run needs neither: ProcessPoolExecutor imports them when a
+    # run starts a pool
+    code = ("import sys, relaysim.cli; print(sorted({'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)))")
+    src = Path(montecarlo.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestRunSweep:
