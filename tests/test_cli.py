@@ -381,12 +381,8 @@ class TestCsvFormat:
         format_cdf_csv(cdfs, fh)
         _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
 
-    @pytest.mark.parametrize("n,count,chunks", [
-        # three strategies of two whole chunks and one row each
-        (2 * cli.CDF_ROWS_PER_WRITE + 1, 3, 3 * 3),
-        # ten short strategies, as many per write as fit
-        (cli.CDF_ROWS_PER_WRITE // 5, 10, 2)])
-    def test_cdf_writes_at_most_a_chunk_of_rows(self, n, count, chunks):
+    @staticmethod
+    def _assert_chunked_writes(n, count, chunks):
         rng = np.random.default_rng(2012)
         cdfs = {kind: np.sort(rng.uniform(0.0, 30.0, n))
                 for kind in ALL_STRATEGIES[:count]}
@@ -399,6 +395,14 @@ class TestCsvFormat:
                    for text in writes[1:])
         assert len(writes) == 1 + chunks
         _assert_same_rows("".join(writes), _cdf_rows(cdfs))
+
+    def test_cdf_writes_at_most_a_chunk_of_rows(self):
+        # three strategies of two whole chunks and one row each
+        self._assert_chunked_writes(2 * cli.CDF_ROWS_PER_WRITE + 1, 3, 3 * 3)
+
+    def test_cdf_stacks_short_strategies_into_a_write(self):
+        # ten short strategies, as many per write as fit
+        self._assert_chunked_writes(cli.CDF_ROWS_PER_WRITE // 5, 10, 2)
 
     @hypothesis.settings(max_examples=50, deadline=None)
     @given(kinds=st.lists(st.sampled_from(ALL_STRATEGIES), min_size=1,
