@@ -166,7 +166,7 @@ def parse_config_file(path: str) -> dict:
     """Parse a `key = value` config file; OSError if not readable as UTF-8."""
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from None

@@ -119,14 +119,21 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     ITEMS_PER_WORKER items per process. One pool serves them all, capped
     at os.cpu_count() and at the number of items; a cap of one runs
     serially, as one item. The pool is shut down before the first array
-    is yielded."""
+    is yielded. It alone checks the inputs of every run."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not kinds:
         raise ValueError("at least one strategy is required")
-    distances = np.array(distances_m, dtype=float)
+    distances = np.array(distances_m, dtype=float)  # ValueError if ragged
+    if distances.ndim != 1 or not len(distances):
+        raise ValueError("distances_m must be non-empty and 1-D")
+    values = distances.tolist()
+    if not all(math.isfinite(d) and d > 0 for d in values):
+        raise ValueError("distance_m must be positive and finite")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("distances must be strictly increasing")
     group = ROWS // min(trials, ROWS)
     groups = [distances[i:i + group] for i in range(0, len(distances), group)]
     workers = min(workers, os.cpu_count() or 1)
@@ -163,12 +170,6 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
     """Summary statistics per (strategy, distance) over trials at each of
     the distances, which replace config.distance_m. Each group is
     aggregated in one pass over its sorted rows as soon as it is complete."""
-    if len(distances_m) == 0:
-        raise ValueError("distances_m must be non-empty")
-    if any(b <= a for a, b in zip(distances_m, distances_m[1:])):
-        raise ValueError("distances must be strictly increasing")
-    if not all(math.isfinite(d) and d > 0 for d in distances_m):
-        raise ValueError("distance_m must be positive and finite")
     kinds = tuple(strategies)
     points = iter(distances_m)
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
@@ -189,9 +190,9 @@ def run_cdf(config: ScenarioConfig, trials: int,
             strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
             workers: int = 1) -> dict[StrategyKind, np.ndarray]:
     """Empirical spectral-efficiency CDF per strategy at one distance:
-    the per-trial values in ascending order, the i-th (1-based) of n at
-    F = i / n."""
-    kinds = tuple(strategies)
-    ((table,),) = _tables(config, (config.distance_m,), trials, kinds, workers)
-    table.sort(axis=-1)
-    return dict(zip(kinds, table))
+    run_point's per-trial values, each row sorted in place, the i-th
+    (1-based) of n at F = i / n."""
+    cdfs = run_point(config, trials, strategies, workers)
+    for row in cdfs.values():
+        row.sort()
+    return cdfs

@@ -65,6 +65,15 @@ class TestConfigFile:
         path = _write(tmp_path, "  trials = 42   # inline comment\n")
         assert parse_config_file(path) == {"trials": 42}
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        # some Windows editors start a UTF-8 file with a byte order mark
+        text = "trials = 5\nseed = 3\n"
+        plain = _write(tmp_path, text)
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config_file(str(bom)) == parse_config_file(plain) \
+            == {"trials": 5, "seed": 3}
+
     def test_boolean_words(self, tmp_path):
         path = _write(tmp_path, "blocked_direct = no\n")
         assert parse_config_file(path) == {"blocked_direct": False}
@@ -377,6 +386,19 @@ class TestCsvFormat:
             values[pick == 3] = 0.0
             values[:len(extra)] = extra[:n]
             cdfs[kind] = np.sort(values)
+        fh = io.StringIO()
+        format_cdf_csv(cdfs, fh)
+        _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))
+
+    def test_cdf_engine_values_reach_the_percent_fallback(self):
+        # rates of 1000 bits/s/Hz or more round to q >= 1e9, which only
+        # the whole-write `%` path prints
+        config = ScenarioConfig(seed=1, tx_power_dbm=2995,
+                                interferer_power_dbm=-math.inf)
+        cdfs = montecarlo.run_cdf(config, 3000, (
+            StrategyKind.DIRECT, StrategyKind.DIRECT_EXCHANGE,
+            StrategyKind.DF_SINGLE))
+        assert sum(int((v >= 1000).sum()) for v in cdfs.values()) > 0
         fh = io.StringIO()
         format_cdf_csv(cdfs, fh)
         _assert_same_rows(fh.getvalue(), _cdf_rows(cdfs))

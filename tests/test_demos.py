@@ -1,6 +1,7 @@
 """The demo scripts run to completion, and the package exports resolve."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,5 +29,10 @@ def test_demo_exits_zero(tmp_path, script, args):
 
 
 def test_every_export_resolves():
+    # and is named in README.md or a demo, else it is a dead export
+    text = "".join(path.read_text() for path in [
+        ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))])
     for name in relaysim.__all__:
         assert hasattr(relaysim, name), name
+        assert re.search(rf"\b{name}\b", text), \
+            f"neither README.md nor a demo names {name}"

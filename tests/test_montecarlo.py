@@ -495,10 +495,15 @@ class TestRunSweep:
             run_sweep(cfg, (10.0, 10.0), 10)
         with pytest.raises(ValueError):
             run_sweep(cfg, (20.0, 10.0), 10)
-        for distances in ((-5.0, 10.0), (10.0, math.inf)):
+        for distances in ((-5.0, 10.0), (10.0, math.inf), (10.0, math.nan)):
             with pytest.raises(ValueError, match="^distance_m must be "
                                "positive and finite$"):
                 run_sweep(cfg, distances, 10)
+        # a 2-D or ragged sequence fails with one line, not a TypeError
+        for distances in (np.array([[10.0, 20.0]]), [[10, 20], [30]]):
+            with pytest.raises(ValueError) as info:
+                run_sweep(cfg, distances, 5)
+            assert "\n" not in str(info.value)
 
     def test_accepts_numpy_distances(self):
         cfg, grid = ScenarioConfig(seed=2), np.arange(10.0, 101.0, 10.0)
