@@ -11,15 +11,16 @@ fits in ROWS rows. A run (one point, a sweep or a CDF) opens at most one
 process pool; its work items are ranges of whole ROWS over every group,
 so any worker count makes the serial run's draws and calls. A serial
 run, and one of at most ROWS trials, is one item evaluated in this
-process. Items are joined per group, in trial order, into one
-C-contiguous (points, strategies, trials) array, the engine's one
-hand-off, bit-identical for any worker count. A sweep sorts each group
-in place and aggregates it in one pass; a CDF sorts its one point.
+process. Each group's items are joined, in trial order, into one
+C-contiguous (points, strategies, trials) array and handed off with the
+group's distances as floats, bit-identical for any worker count. A sweep
+sorts each group in place and aggregates it; a CDF sorts its one point.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
@@ -109,23 +110,29 @@ def _run_item(config: ScenarioConfig, groups: list[np.ndarray], start: int,
 
 def _tables(config: ScenarioConfig, distances_m: Sequence[float],
             trials: int, kinds: tuple[StrategyKind, ...], workers: int,
-            ) -> Iterator[np.ndarray]:
-    """The C-contiguous (points, len(kinds), trials) array of trials
-    0..trials-1 at each group of distances_m, which replace
-    config.distance_m, in order; each is its caller's own. The run fixes
-    the groups, ROWS // min(trials, ROWS) distances each.
+            ) -> Iterator[tuple[list[float], np.ndarray]]:
+    """One (distances, table) pair per group of distances_m, in order: the
+    group as a list of floats, which replace config.distance_m, and its own
+    C-contiguous (points, len(kinds), trials) array of trials 0..trials-1.
+    The run fixes the groups, ROWS // min(trials, ROWS) distances each.
 
     A work item is a range of whole ROWS over every group, up to
-    ITEMS_PER_WORKER items per process. One pool serves them all, capped
-    at os.cpu_count() and at the number of items; a cap of one runs
-    serially, as one item. The pool is shut down before the first array
-    is yielded. It alone checks the inputs of every run."""
+    ITEMS_PER_WORKER items per process. One pool serves them all, capped at
+    os.cpu_count() and at the number of items, and is shut down before the
+    first pair; a cap of one runs serially. It alone reads and checks a run's
+    inputs, integer trials and workers and distinct StrategyKinds included."""
+    for name, value in (("trials", trials), ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not kinds:
         raise ValueError("at least one strategy is required")
+    if not all(isinstance(kind, StrategyKind) for kind in kinds) or \
+            len(set(kinds)) < len(kinds):
+        raise ValueError("strategies must be distinct StrategyKind members")
     distances = np.array(distances_m, dtype=float)  # ValueError if ragged
     if distances.ndim != 1 or not len(distances):
         raise ValueError("distances_m must be non-empty and 1-D")
@@ -138,18 +145,18 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     groups = [distances[i:i + group] for i in range(0, len(distances), group)]
     workers = min(workers, os.cpu_count() or 1)
     chunks = -(-trials // ROWS)
-    step = -(-chunks // min(chunks, ITEMS_PER_WORKER * workers)) * ROWS
+    step = -(-chunks // (ITEMS_PER_WORKER * workers)) * ROWS
     starts = range(0, trials, step)
     workers = min(workers, len(starts))
     if workers <= 1:
-        yield from _item_tables(config, groups, 0, trials, kinds)
-        return
-    stops = [min(start + step, trials) for start in starts]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_item, repeat(config), repeat(groups),
-                              starts, stops, repeat(kinds)))
-    for arrays in zip(*parts):
-        yield np.concatenate(arrays, axis=-1)
+        tables = _item_tables(config, groups, 0, trials, kinds)
+    else:
+        stops = [min(start + step, trials) for start in starts]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_item, repeat(config), repeat(groups),
+                                  starts, stops, repeat(kinds)))
+        tables = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    yield from zip((at.tolist() for at in groups), tables)
 
 
 def run_point(config: ScenarioConfig, trials: int,
@@ -158,7 +165,8 @@ def run_point(config: ScenarioConfig, trials: int,
     """Per-trial spectral efficiencies at one distance, in trial order,
     independent of the worker count."""
     kinds = tuple(strategies)
-    ((table,),) = _tables(config, (config.distance_m,), trials, kinds, workers)
+    ((_, (table,)),) = _tables(config, (config.distance_m,), trials, kinds,
+                               workers)
     return dict(zip(kinds, table))
 
 
@@ -167,13 +175,12 @@ def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
               strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
               workers: int = 1,
               ) -> dict[tuple[StrategyKind, float], SummaryStats]:
-    """Summary statistics per (strategy, distance) over trials at each of
-    the distances, which replace config.distance_m. Each group is
-    aggregated in one pass over its sorted rows as soon as it is complete."""
+    """Summary statistics per (strategy, distance), distances as floats,
+    over trials at each of the distances, which replace config.distance_m.
+    Each group is aggregated in one pass over its sorted rows when complete."""
     kinds = tuple(strategies)
-    points = iter(distances_m)
     results: dict[tuple[StrategyKind, float], SummaryStats] = {}
-    for group in _tables(config, distances_m, trials, kinds, workers):
+    for points, group in _tables(config, distances_m, trials, kinds, workers):
         group.sort(axis=-1)
         ranks = [_rank(p, group.shape[-1]) for p in (10, 50, 90)]
         # np.mean over the last axis of a C-contiguous array sums each row

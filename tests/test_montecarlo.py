@@ -59,7 +59,7 @@ def _stats(samples):
 
 def _point_tables(groups):
     """The (strategies, trials) table of each point of _tables' groups."""
-    return [table for group in groups for table in group]
+    return [table for _, group in groups for table in group]
 
 
 class TestEmpiricalCdf:
@@ -226,6 +226,49 @@ class TestRunPoint:
 def test_rejects_nonpositive_workers(run, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run(workers)
+
+
+@pytest.mark.parametrize("strategies", [
+    (StrategyKind.DIRECT, StrategyKind.DIRECT), "direct", ("direct",),
+], ids=["repeated", "name", "names"])
+@pytest.mark.parametrize("run", [
+    lambda s: run_point(ScenarioConfig(), 10, s),
+    lambda s: run_sweep(ScenarioConfig(), (10.0, 20.0), 10, s),
+    lambda s: run_cdf(ScenarioConfig(), 10, s),
+], ids=["run_point", "run_sweep", "run_cdf"])
+def test_rejects_bad_strategies(run, strategies):
+    # a repeated strategy would collapse into one result key, and a name
+    # would fail deep in the engine as a KeyError
+    with pytest.raises(ValueError, match="^strategies must be distinct "
+                       "StrategyKind members$"):
+        run(strategies)
+
+
+@pytest.mark.parametrize("counts", [
+    {"trials": True}, {"trials": 2.5}, {"workers": 1.5},
+], ids=["bool_trials", "float_trials", "float_workers"])
+@pytest.mark.parametrize("run", [
+    lambda trials=10, workers=1: run_point(ScenarioConfig(), trials,
+                                           workers=workers),
+    lambda trials=10, workers=1: run_sweep(ScenarioConfig(), (10.0, 20.0),
+                                           trials, workers=workers),
+    lambda trials=10, workers=1: run_cdf(ScenarioConfig(), trials,
+                                         workers=workers),
+], ids=["run_point", "run_sweep", "run_cdf"])
+def test_rejects_non_integer_counts(run, counts):
+    (name,) = counts
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        run(**counts)
+
+
+def test_accepts_numpy_integer_counts(pool_sizes, monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    cfg, kinds = ScenarioConfig(seed=3), (StrategyKind.DIRECT,)
+    trials = 2 * montecarlo.ROWS
+    pooled = run_point(cfg, np.int64(trials), kinds, workers=np.int64(2))
+    assert pool_sizes == [2]
+    np.testing.assert_array_equal(pooled[kinds[0]],
+                                  run_point(cfg, trials, kinds)[kinds[0]])
 
 
 def test_import_leaves_out_the_pool():
@@ -460,7 +503,9 @@ class TestRunSweep:
                                              ALL_STRATEGIES, workers))
             widest = max(stop - start for start, stop in drawn)
             assert widest == min(rows * b, 600)
-            for got, want in zip(tables, expected, strict=True):
+            for (points, got), (labels, want) in zip(tables, expected,
+                                                     strict=True):
+                assert points == labels
                 np.testing.assert_array_equal(got, want)
         assert pool_sizes == ([2] if rows * b < 600 else [])
 
@@ -478,8 +523,11 @@ class TestRunSweep:
                                       (3, 2 * b + 7, [1, 1, 1])):
             distances = tuple(float(L) for L in range(10, 10 + 10 * points,
                                                       10))
-            groups = list(montecarlo._tables(cfg, distances, trials,
-                                             ALL_STRATEGIES, workers))
+            pairs = list(montecarlo._tables(cfg, distances, trials,
+                                            ALL_STRATEGIES, workers))
+            assert [d for points, _ in pairs for d in points] == \
+                list(distances)
+            groups = [group for _, group in pairs]
             assert [len(group) for group in groups] == sizes
             for i, group in enumerate(groups):
                 assert group.shape[1:] == (len(ALL_STRATEGIES), trials)
@@ -499,8 +547,9 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="^distance_m must be "
                                "positive and finite$"):
                 run_sweep(cfg, distances, 10)
-        # a 2-D or ragged sequence fails with one line, not a TypeError
-        for distances in (np.array([[10.0, 20.0]]), [[10, 20], [30]]):
+        # a scalar, 2-D or ragged sequence fails with one line, not a
+        # TypeError
+        for distances in (np.array([[10.0, 20.0]]), [[10, 20], [30]], 10.0):
             with pytest.raises(ValueError) as info:
                 run_sweep(cfg, distances, 5)
             assert "\n" not in str(info.value)
@@ -510,6 +559,10 @@ class TestRunSweep:
         assert run_sweep(cfg, grid, 20) == run_sweep(cfg, tuple(grid), 20)
         with pytest.raises(ValueError, match="must be non-empty"):
             run_sweep(cfg, np.array([]), 20)
+        # the keys carry the distances as floats, whatever their type
+        keys = run_sweep(cfg, (10, 20), 5)
+        assert {type(d) for _, d in keys} == {float}
+        assert {d for _, d in keys} == {10.0, 20.0}
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
