@@ -89,8 +89,8 @@ class Settings(ScenarioConfig):
     with a flag are re-declared here only to attach it. Config-file keys,
     flags and `--dump-config` are derived from the fields, in field order
     (the scenario's first). Parsers reject text that names no value;
-    `__post_init__` checks the values. A flag of one mode is rejected in
-    the other; its file key, which `--dump-config` writes, is not.
+    `__post_init__` checks all values but trials and workers, which the run
+    checks. A flag of one mode is rejected in the other; its file key is not.
     """
 
     distance_m: float = _setting(
@@ -111,9 +111,6 @@ class Settings(ScenarioConfig):
     out: str = _setting("", "--out", "output CSV path")
 
     def __post_init__(self):
-        for name in ("trials", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         for name in ("lmin", "lmax"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -120,14 +120,12 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     ITEMS_PER_WORKER items per process. One pool serves them all, capped at
     os.cpu_count() and at the number of items, and is shut down before the
     first pair; a cap of one runs serially. It alone reads and checks a run's
-    inputs, integer trials and workers and distinct StrategyKinds included."""
+    inputs, the one check of trials and workers (integers >= 1) included."""
     for name, value in (("trials", trials), ("workers", workers)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     if not kinds:
         raise ValueError("at least one strategy is required")
     if not all(isinstance(kind, StrategyKind) for kind in kinds) or \

@@ -235,11 +235,26 @@ class TestDumpConfig:
         reparsed, _ = resolve_settings(["--config", path])
         assert reparsed == settings
 
-    def test_dump_flag_prints_and_exits_zero(self, capsys):
-        assert main(["--dump-config", "--trials", "5"]) == 0
+    def test_dump_flag_prints_and_exits_zero(self, tmp_path, capsys,
+                                             monkeypatch):
+        # it prints the settings and stops: no run, no file written
+        monkeypatch.chdir(tmp_path)
+        argv = ["--dump-config", "--trials", "5"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
+        assert out == dump_config(resolve_settings(argv)[0])
         assert "trials = 5" in out
         assert "noise_power_dbm = -110.0" in out
+        assert "\nblocked_direct = false\n" in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dump_flag_echoes_a_count_the_run_rejects(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # trials and workers are checked when the run starts
+        monkeypatch.chdir(tmp_path)
+        assert main(["--dump-config", "--trials", "0"]) == 0
+        assert "\ntrials = 0\n" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_numpy_float_dumped_as_number(self):
         # str, not repr: numpy 2 reprs a float64 as np.float64(10.0)
@@ -260,12 +275,13 @@ class TestDumpConfig:
 
 
 class TestRunModes:
-    def test_sweep_csv_shape(self, tmp_path):
+    def test_sweep_csv_shape(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")
         rc = main(["--mode", "sweep", "--lmin", "20", "--lmax", "40",
                    "--lstep", "20", "--trials", "3",
                    "--strategies", "direct", "--out", out])
         assert rc == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "strategy,distance_m,mean_se,p10_se,p50_se,p90_se"
         assert len(lines) == 3  # header + 2 distances
@@ -279,11 +295,12 @@ class TestRunModes:
         assert rc == 0
         assert len(Path(out).read_text().splitlines()) == 2
 
-    def test_cdf_csv_shape(self, tmp_path):
+    def test_cdf_csv_shape(self, tmp_path, capsys):
         out = str(tmp_path / "cdf.csv")
         rc = main(["--mode", "cdf", "--distance", "70", "--trials", "10",
                    "--strategies", "direct,af_single", "--out", out])
         assert rc == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "strategy,spectral_efficiency,cdf"
         assert len(lines) == 1 + 2 * 10  # header + n rows per strategy
@@ -530,12 +547,19 @@ class TestFailureModes:
         (["--workers", "0"], "workers must be >= 1"),
         (["--strategies", ","], "bad value for strategies: empty strategy "
                                 "list"),
-        (["--lmin", "50", "--lmax", "20"], "lmin must not exceed lmax")],
+        (["--lmin", "50", "--lmax", "20"], "lmin must not exceed lmax"),
+        (["--lstep", "0"], "lstep must be positive"),
+        (["--lstep", "-1"], "lstep must be positive")],
         ids=["unknown-flag", "missing-value", "zero-trials", "zero-workers",
-             "empty-strategies", "lmin-above-lmax"])
-    def test_usage_error_is_one_line(self, capsys, argv, message):
+             "empty-strategies", "lmin-above-lmax", "zero-lstep",
+             "negative-lstep"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                     argv, message):
+        # a zero count fails in the run, whose temp output is then deleted
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"relaysim: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point_exit_status(self):
         # `python -m relaysim`: a usage error exits 1 with one line, -h 0

@@ -1,8 +1,9 @@
-"""The demo scripts and README's Library example run to completion, and
-the package exports resolve."""
+"""The demo scripts and README's Library and Command line examples run
+to completion, and the package exports resolve."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import relaysim
+from relaysim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,6 +41,22 @@ def test_readme_library_example_runs(tmp_path):
                          (ROOT / "README.md").read_text(), re.M | re.S)
     done = _python(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    # each line of the first block under "## Command line", run in-process
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(cli.dump_config(cli.Settings()))
+    for line in block.replace("\\\n", " ").splitlines():
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "relaysim"
+        assert cli.main(argv) == 0, line
+    sweep = "strategy,distance_m,mean_se,p10_se,p50_se,p90_se\n"
+    for name, header in [("sweep.csv", sweep), ("blocked.csv", sweep),
+                         ("cdf.csv", "strategy,spectral_efficiency,cdf\n")]:
+        assert (tmp_path / name).read_text().startswith(header), name
 
 
 def test_every_export_resolves():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import relaysim
 from relaysim.propagation import DR1, DS, R1D, R1S, R2D, SD, SR1, SR2
 from relaysim.strategies import (
     ALL_STRATEGIES,
@@ -317,3 +318,25 @@ class TestEvaluateStrategy:
         with pytest.raises(ValueError):
             strategy_rates(np.stack([_sinrs(), _sinrs(sd=-1.0)]),
                            (StrategyKind.DIRECT,))
+
+    @pytest.mark.parametrize("kinds", ["direct", ("direct",), (), [1]],
+                             ids=["name", "names", "empty", "int"])
+    def test_rejects_bad_kinds(self, kinds):
+        with pytest.raises(ValueError, match="^kinds must be a non-empty "
+                                             "sequence of StrategyKinds$"):
+            strategy_rates(np.ones((3, 8)), kinds)
+
+    def test_repeated_kind_gives_a_column_per_entry(self):
+        sinr = np.stack([_sinrs(sd=2.0), _sinrs(sd=5.0)])
+        rates = strategy_rates(sinr, (StrategyKind.DIRECT,) * 2)
+        assert rates.shape == (2, 2)
+        np.testing.assert_array_equal(rates[:, 0], rates[:, 1])
+        np.testing.assert_array_equal(
+            rates[:, 0], strategy_rates(sinr, (StrategyKind.DIRECT,))[:, 0])
+
+    def test_exported_formulas_carry_their_names(self):
+        names = [name for name in relaysim.__all__
+                 if name.startswith("rate_") or name == "af_equivalent_snr"]
+        assert len(names) == 9
+        for name in names:
+            assert getattr(relaysim, name).__name__ == name
