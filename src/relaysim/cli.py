@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .montecarlo import run_cdf, run_sweep
+from .montecarlo import _sweep_stats, run_cdf
 from .scenario import ScenarioConfig
 from .strategies import ALL_STRATEGIES, StrategyKind
 
@@ -256,17 +255,6 @@ def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
         raise
 
 
-def format_sweep_csv(results) -> str:
-    """The sweep CSV, rows sorted whole (their (strategy, distance) keys
-    are unique) and all formatted by one `%` call, so the loop over rows
-    runs in C; `%g` and `%.6f` give the same text as `:g` and `:.6f`."""
-    rows = sorted((kind.value, distance, *s)
-                  for (kind, distance), s in results.items())
-    return ("strategy,distance_m,mean_se,p10_se,p50_se,p90_se\n"
-            + "%s,%g,%.6f,%.6f,%.6f,%.6f\n" * len(rows)
-            % tuple(itertools.chain.from_iterable(rows)))
-
-
 @functools.cache
 def _digit_words() -> tuple[np.ndarray, ...]:
     """Three tables of uint32 words, the four bytes of text of 0..999: as
@@ -277,40 +265,72 @@ def _digit_words() -> tuple[np.ndarray, ...]:
                  for form in ("{:\0>3}.", "{:03}\0", "{:03},"))
 
 
-def _cdf_rows(names: list[str], columns: list[np.ndarray],
-              cdf: np.ndarray) -> str:
-    """The rows `name,value,cdf` of each name's column of values and the
-    cdf column, as `%.6f` prints them: one buffer of uint32 words, the
-    name and a comma, then the _digit_words of q = rint(x * 1e6) of the
-    value and of the cdf, a line end last, and its 0 bytes dropped. A q
-    within 1e-6 of a tie is read back from `%.6f`, as x * 1e6 may round
-    across it. A write holding a value without such words (NaN, inf, a
-    negative or -0.0, or a q of 1e9 or more) is one `%` call instead."""
-    x = np.vstack((*columns, cdf))
+def _cells(x: np.ndarray) -> np.ndarray | None:
+    """The (..., 3) uint32 words of `%.6f` of each float of x and a comma:
+    _digit_words of q = rint(x * 1e6), a q within 1e-6 of a tie read back
+    from `%.6f`, as x * 1e6 may round across it. None if a value has none:
+    NaN, inf, a negative or -0.0, or a q of 1e9 or more."""
     y = x * 1e6
     q = np.rint(y)
     if not q.max() < 1e9 or x.view(np.int64).min() < 0:
-        return "".join((name + ",%.6f,%.6f\n") * len(cdf) for name in names) \
-            % tuple(np.stack(np.broadcast_arrays(x[:-1], cdf), -1)
-                    .ravel().tolist())
+        return None
     np.abs(np.subtract(y, q, out=y), out=y)
     for i in np.flatnonzero(y > 0.5 - 1e-6):
         q.flat[i] = float(("%.6f" % x.flat[i]).replace(".", ""))
     high, low = np.divmod(q.astype(np.intp), 1000)
     whole, mid = np.divmod(high, 1000)
     point, digits, comma = _digit_words()
-    cells = np.stack((point[whole], digits[mid], comma[low]), axis=-1)
-    width = max(map(len, names)) // 4 + 1  # words of a name and a comma
-    heads = "".join(f"{name},".ljust(4 * width, "\0") for name in names)
-    words = np.empty((len(names), len(cdf), width + 6), np.uint32)
-    words[..., :width] = np.frombuffer(heads.encode(),
-                                       np.uint32).reshape(-1, 1, width)
-    words[..., width:width + 3] = cells[:-1]
-    words[..., width + 3:] = cells[-1]
+    return np.stack((point[whole], digits[mid], comma[low]), axis=-1)
+
+
+def _words(texts: list[str]) -> np.ndarray:
+    """Each ASCII text and a comma as uint32 words, 0-padded to one width."""
+    width = max(map(len, texts)) // 4 + 1
+    heads = "".join(f"{text},".ljust(4 * width, "\0") for text in texts)
+    return np.frombuffer(heads.encode(), np.uint32).reshape(-1, width)
+
+
+def _lines(shape: tuple[int, ...], *parts: np.ndarray) -> str:
+    """The text of a `shape` of rows of uint32 words: the parts, broadcast
+    to it, side by side, each row's last byte a line end, 0 bytes dropped."""
+    words = np.empty((*shape, sum(p.shape[-1] for p in parts)), np.uint32)
+    end = 0
+    for part in parts:
+        words[..., end:end + part.shape[-1]] = part
+        end += part.shape[-1]
     words.view(np.uint8)[..., -1] = ord("\n")
     text = words.tobytes()
-    del words, cells
+    del words
     return text.translate(None, b"\0").decode()
+
+
+def format_sweep_csv(results) -> str:
+    """The sweep CSV of _sweep_stats' triple, by strategy name, then
+    distance: name and `%g` distance words, four _cells, else one `%` call."""
+    distances, kinds, stats = results
+    order = sorted(range(len(kinds)), key=lambda k: kinds[k].value)
+    names = [kinds[k].value for k in order]
+    points = ["%g" % d for d in distances]
+    stats = stats[:, order].transpose(1, 0, 2)  # (kinds, points, 4)
+    head = "strategy,distance_m,mean_se,p10_se,p50_se,p90_se\n"
+    if (cells := _cells(stats)) is None:
+        return head + "".join(f"{name},{point},%.6f,%.6f,%.6f,%.6f\n"
+                              for name in names for point in points) \
+            % tuple(stats.ravel().tolist())
+    return head + _lines(stats.shape[:2], _words(names)[:, None],
+                         _words(points), cells.reshape(*stats.shape[:2], 12))
+
+
+def _cdf_rows(names: list[str], columns: list[np.ndarray],
+              cdf: np.ndarray) -> str:
+    """The rows `name,value,cdf` of each name's values and the cdf column:
+    the name words and both _cells, or one `%` call if a value has none."""
+    x = np.vstack((*columns, cdf))
+    if (cells := _cells(x)) is None:
+        return "".join((name + ",%.6f,%.6f\n") * len(cdf) for name in names) \
+            % tuple(np.stack(np.broadcast_arrays(x[:-1], cdf), -1)
+                    .ravel().tolist())
+    return _lines(x[:-1].shape, _words(names)[:, None], cells[:-1], cells[-1])
 
 
 def format_cdf_csv(cdfs, fh: TextIO) -> None:
@@ -334,7 +354,7 @@ def format_cdf_csv(cdfs, fh: TextIO) -> None:
 def run(settings: Settings, fh: TextIO) -> None:
     """Execute the configured experiment and write its CSV to fh."""
     if settings.mode == "sweep":
-        fh.write(format_sweep_csv(run_sweep(
+        fh.write(format_sweep_csv(_sweep_stats(
             settings, settings.sweep_distances(), settings.trials,
             settings.strategies, settings.workers)))
     else:

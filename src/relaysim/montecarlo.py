@@ -13,8 +13,8 @@ so any worker count makes the serial run's draws and calls. A serial
 run, and one of at most ROWS trials, is one item evaluated in this
 process. Each group's items are joined, in trial order, into one
 C-contiguous (points, strategies, trials) array and handed off with the
-group's distances as floats, bit-identical for any worker count. A sweep
-sorts each group in place and aggregates it; a CDF sorts its one point.
+group's distances as floats, bit-identical for any worker count. Sweeps
+sort and aggregate each group in _sweep_stats; a CDF sorts its one point.
 """
 
 from __future__ import annotations
@@ -131,9 +131,14 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     if not all(isinstance(kind, StrategyKind) for kind in kinds) or \
             len(set(kinds)) < len(kinds):
         raise ValueError("strategies must be distinct StrategyKind members")
-    distances = np.array(distances_m, dtype=float)  # ValueError if ragged
+    distances = np.array(distances_m)  # ValueError if ragged
     if distances.ndim != 1 or not len(distances):
         raise ValueError("distances_m must be non-empty and 1-D")
+    # float() reads text and bools, and numpy makes [True, 2.0] floats
+    if distances.dtype.kind not in "iuf" or \
+            any(isinstance(d, (bool, np.bool_)) for d in distances_m):
+        raise ValueError("distances_m must be numbers, not text or bools")
+    distances = distances.astype(float)
     values = distances.tolist()
     if not all(math.isfinite(d) and d > 0 for d in values):
         raise ValueError("distance_m must be positive and finite")
@@ -168,27 +173,34 @@ def run_point(config: ScenarioConfig, trials: int,
     return dict(zip(kinds, table))
 
 
-def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
-              trials: int,
-              strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
-              workers: int = 1,
-              ) -> dict[tuple[StrategyKind, float], SummaryStats]:
-    """Summary statistics per (strategy, distance), distances as floats,
-    over trials at each of the distances, which replace config.distance_m.
-    Each group is aggregated in one pass over its sorted rows when complete."""
-    kinds = tuple(strategies)
-    results: dict[tuple[StrategyKind, float], SummaryStats] = {}
+def _sweep_stats(config: ScenarioConfig, distances_m: Sequence[float],
+                 trials: int, kinds: tuple[StrategyKind, ...], workers: int):
+    """(distances as floats, kinds, stats): run_sweep's statistics as one
+    C-contiguous (points, len(kinds), 4) array of mean, p10, p50 and p90."""
+    distances, stats = [], []
     for points, group in _tables(config, distances_m, trials, kinds, workers):
         group.sort(axis=-1)
         ranks = [_rank(p, group.shape[-1]) for p in (10, 50, 90)]
         # np.mean over the last axis of a C-contiguous array sums each row
         # pairwise, as np.mean of that row alone does
-        stats = np.concatenate((group.mean(axis=-1, keepdims=True),
-                                group[..., ranks]), axis=-1).tolist()
-        for row, distance in zip(stats, points):
-            for kind, values in zip(kinds, row):
-                results[(kind, distance)] = SummaryStats._make(values)
-    return results
+        stats.append(np.concatenate((group.mean(axis=-1, keepdims=True),
+                                     group[..., ranks]), axis=-1))
+        distances += points
+    return distances, kinds, np.concatenate(stats)
+
+
+def run_sweep(config: ScenarioConfig, distances_m: Sequence[float],
+              trials: int,
+              strategies: Sequence[StrategyKind] = ALL_STRATEGIES,
+              workers: int = 1,
+              ) -> dict[tuple[StrategyKind, float], SummaryStats]:
+    """_sweep_stats' summary statistics per (strategy, distance) over trials
+    at each distance, as a float, which replaces config.distance_m."""
+    distances, kinds, stats = _sweep_stats(config, distances_m, trials,
+                                           tuple(strategies), workers)
+    return {(kind, distance): SummaryStats._make(values)
+            for distance, row in zip(distances, stats.tolist())
+            for kind, values in zip(kinds, row)}
 
 
 def run_cdf(config: ScenarioConfig, trials: int,

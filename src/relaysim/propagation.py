@@ -119,7 +119,8 @@ def link_sinrs(block: TrialBlock, config: ScenarioConfig,
     node_xy = node_positions(block, distance_m)
     signal = received_mw(config, config.tx_power_dbm,
                          block.carrier_mhz[:, None],
-                         node_xy[..., _PAIR_TX, :] - node_xy[..., _PAIR_RX, :],
+                         np.take(node_xy, _PAIR_TX, axis=-2)
+                         - np.take(node_xy, _PAIR_RX, axis=-2),
                          block.fading[:, :len(PAYLOAD_PAIRS)])
     if config.blocked_direct:
         signal[..., PAYLOAD_PAIRS.index((S, D))] = 0.0

@@ -184,7 +184,7 @@ _FORMULAS = {
 
 def strategy_rates(sinr, kinds) -> np.ndarray:
     """Spectral efficiency in bits/s/Hz of each strategy in `kinds`, a
-    non-empty sequence of StrategyKinds; a repeated kind is evaluated again.
+    non-empty iterable of StrategyKinds; a repeated kind is evaluated again.
 
     sinr holds the directed payload SINRs on its last axis, in link_sinrs
     column order; the result has one entry per kind on its last axis.
@@ -192,6 +192,7 @@ def strategy_rates(sinr, kinds) -> np.ndarray:
     The columns the kinds read are checked once, as the public rate_*
     functions check their arguments; the formula bodies run unchecked.
     """
+    kinds = tuple(kinds)
     if not kinds or not set(kinds) <= _FORMULAS.keys():
         raise ValueError("kinds must be a non-empty sequence of StrategyKinds")
     _check_nonneg(sinr[..., sorted({c for kind in kinds

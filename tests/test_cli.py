@@ -446,16 +446,57 @@ class TestCsvFormat:
     @hypothesis.settings(max_examples=50, deadline=None)
     @given(kinds=st.lists(st.sampled_from(ALL_STRATEGIES), min_size=1,
                           unique=True),
-           stats=st.lists(st.floats(0.0, 1e3), min_size=4, max_size=40))
+           stats=st.lists(st.floats(0.0, 1e3)
+                          # near ties at the sixth decimal
+                          | st.integers(0, 10**9 - 1).map(
+                              lambda q: (q + 0.5) / 1e6)
+                          | st.sampled_from(TIE_SIDES + UNPRINTABLE),
+                          min_size=4, max_size=40))
+    @hypothesis.example(kinds=list(ALL_STRATEGIES), stats=TIE_SIDES)
+    @hypothesis.example(kinds=list(ALL_STRATEGIES[:2]),
+                        stats=TIE_SIDES + UNPRINTABLE)
     def test_sweep_matches_row_formula(self, kinds, stats):
         # 1e6 m is printed in exponent form by g
         distances = (0.001, 12.5, 99.999999999, 1e6)
-        results = {}
-        for k, key in enumerate((kind, d) for kind in kinds
-                                for d in distances):
-            results[key] = SummaryStats(
-                *(stats[(4 * k + j) % len(stats)] for j in range(4)))
-        _assert_same_rows(format_sweep_csv(results), _sweep_rows(results))
+        table = np.resize(stats, (len(distances), len(kinds), 4))
+        results = {(kind, d): SummaryStats(*table[i, k].tolist())
+                   for i, d in enumerate(distances)
+                   for k, kind in enumerate(kinds)}
+        _assert_same_rows(format_sweep_csv((distances, tuple(kinds), table)),
+                          _sweep_rows(results))
+
+    @pytest.mark.parametrize("case,workers", [
+        ("sweep_tail", "1"), ("sweep_tail", "2"), ("sweep_cochannel", "1")])
+    def test_sweep_csv_is_the_rows_of_run_sweep(self, tmp_path, monkeypatch,
+                                                case, workers):
+        # the CLI's statistics and run_sweep's come from one aggregation
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        argv = _GOLDEN[case][0] + ["--workers", workers]
+        if case in _GOLDEN_CONFIG:
+            argv += ["--config", _write(tmp_path, _GOLDEN_CONFIG[case])]
+        self._assert_sweep_rows(tmp_path, argv)
+
+    def test_sweep_engine_values_reach_the_percent_fallback(self, tmp_path):
+        # the cdf fallback test's config: statistics of 1000 bits/s/Hz or
+        # more have no digit words, so the whole sweep is one `%` call
+        path = _write(tmp_path, "tx_power_dbm = 2995\n"
+                                "interferer_power_dbm = -inf\n")
+        results = self._assert_sweep_rows(tmp_path, [
+            "--config", path, "--seed", "1", "--trials", "300",
+            "--lmin", "70", "--lmax", "70",
+            "--strategies", "direct,direct_exchange,df_single"])
+        assert max(s.p90 for s in results.values()) >= 1000
+
+    @staticmethod
+    def _assert_sweep_rows(tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        settings, _ = resolve_settings(argv)
+        results = montecarlo.run_sweep(
+            settings, settings.sweep_distances(), settings.trials,
+            settings.strategies, settings.workers)
+        _assert_same_rows(out.read_text(), _sweep_rows(results))
+        return results
 
 
 class TestFailureModes:
@@ -472,7 +513,7 @@ class TestFailureModes:
         def record(*args):
             calls.append(args)
 
-        monkeypatch.setattr(cli, "run_sweep", record)
+        monkeypatch.setattr(cli, "_sweep_stats", record)
         monkeypatch.setattr(cli, "run_cdf", record)
         out = tmp_path / "missing" / "x.csv"
         for mode in ("sweep", "cdf"):
@@ -500,10 +541,10 @@ class TestFailureModes:
                                    error):
         # the raise is stubbed: a real huge allocation may succeed under
         # memory overcommit and fill the host's memory
-        def run_sweep(*args):
+        def sweep_stats(*args):
             raise error
 
-        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        monkeypatch.setattr(cli, "_sweep_stats", sweep_stats)
         assert main(["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"relaysim: error: {error}\n"
         assert list(tmp_path.iterdir()) == []

@@ -553,6 +553,11 @@ class TestRunSweep:
             with pytest.raises(ValueError) as info:
                 run_sweep(cfg, distances, 5)
             assert "\n" not in str(info.value)
+        # text and bools are not read as numbers
+        for distances in (["10", "20"], [True, 2.0], [10, "20"]):
+            with pytest.raises(ValueError, match="^distances_m must be "
+                               "numbers, not text or bools$"):
+                run_sweep(cfg, distances, 5)
 
     def test_accepts_numpy_distances(self):
         cfg, grid = ScenarioConfig(seed=2), np.arange(10.0, 101.0, 10.0)

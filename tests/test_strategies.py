@@ -326,6 +326,12 @@ class TestEvaluateStrategy:
                                              "sequence of StrategyKinds$"):
             strategy_rates(np.ones((3, 8)), kinds)
 
+    def test_one_shot_iterable_of_kinds(self):
+        sinr = np.stack([_sinrs(sd=2.0), _sinrs(sd=5.0)])
+        np.testing.assert_array_equal(
+            strategy_rates(sinr, (k for k in [StrategyKind.DIRECT])),
+            strategy_rates(sinr, (StrategyKind.DIRECT,)))
+
     def test_repeated_kind_gives_a_column_per_entry(self):
         sinr = np.stack([_sinrs(sd=2.0), _sinrs(sd=5.0)])
         rates = strategy_rates(sinr, (StrategyKind.DIRECT,) * 2)
