@@ -93,12 +93,11 @@ def _item_tables(config: ScenarioConfig, groups: list[np.ndarray],
         for first, block in zip(range(0, stop - start, rows), blocks):
             try:
                 with np.errstate(all="raise", under="ignore"):
-                    rates = strategy_rates(link_sinrs(block, config, at),
-                                           kinds)
+                    strategy_rates(link_sinrs(block, config, at), kinds,
+                                   out[..., first:first + rows])
             except FloatingPointError as exc:
                 raise ValueError(f"SINRs out of floating-point range ({exc}); "
                                  "check the powers in dBm") from None
-            out[..., first:first + rows] = rates.transpose(0, 2, 1)
         yield out
 
 

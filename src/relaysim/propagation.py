@@ -1,10 +1,9 @@
 """Per-link SINRs of a block of trials at one or several distances:
-placement of the block's position variates, ITU indoor path loss,
-Rayleigh fading, dB conversions and interference aggregation."""
+placement of the block's position variates, ITU indoor path loss in
+linear form, Rayleigh fading and interference aggregation."""
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 from .scenario import D, PAYLOAD_PAIRS, R1, R2, S, ScenarioConfig, TrialBlock
@@ -12,11 +11,6 @@ from .scenario import D, PAYLOAD_PAIRS, R1, R2, S, ScenarioConfig, TrialBlock
 # Log-distance path loss diverges as d -> 0; relays can be drawn arbitrarily
 # close to an endpoint, so distances are clamped to this floor.
 MIN_DISTANCE_M = 1.0
-
-# Logarithms go through np.log alone: each further numpy math routine a
-# run calls (np.log10, np.log2, ...) pages in about 64 KiB more of numpy's
-# code, which shows in the peak memory of a run.
-_LN10 = math.log(10.0)
 
 # Directed payload links (tx, rx) every strategy evaluation may consume:
 # the columns of link_sinrs.
@@ -34,29 +28,21 @@ def dbm_to_mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
-def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float):
-    """ITU indoor path loss in dB, zero floor-penetration term.
-
-    20*log10(f_MHz) + N*log10(d_m) - 28, with d clamped to MIN_DISTANCE_M.
-    Frequencies and distances may be broadcastable arrays.
-    """
-    if not np.min(freq_mhz, initial=np.inf) > 0:  # empty passes, NaN fails
-        raise ValueError("frequency must be positive")
-    if coeff_db_per_decade <= 0:
-        raise ValueError("path loss coefficient must be positive")
-    d = np.maximum(distance_m, MIN_DISTANCE_M)
-    return 20.0 * (np.log(freq_mhz) / _LN10) \
-        + coeff_db_per_decade * (np.log(d) / _LN10) - 28.0
-
-
 def received_mw(config: ScenarioConfig, power_dbm, freq_mhz,
                 offset: np.ndarray, fading):
     """Received power in mW over the (..., 2) tx - rx offsets in m: transmit
-    power plus both antennas' gain minus the ITU path loss, times the
-    power gain |h|^2 of the links' Rayleigh fading."""
-    pl = path_loss_db(freq_mhz, np.hypot(offset[..., 0], offset[..., 1]),
-                      config.path_loss_coeff_db_per_decade)
-    return dbm_to_mw(power_dbm + 2.0 * config.antenna_gain_db - pl) * fading
+    power plus both antennas' gain minus the ITU indoor path loss
+    20*log10(f_MHz) + N*log10(d_m) - 28, d clamped to MIN_DISTANCE_M, times
+    the power gain |h|^2 of the links' Rayleigh fading. It is computed in
+    linear form, K * f^-2 * max(d^2, MIN_DISTANCE_M^2)^(-N/20) * |h|^2 with
+    K = 10^((P + 2G + 28)/10), so no logarithm and no square root is taken.
+    K is a numpy scalar: a power it overflows raises FloatingPointError
+    under np.errstate(over="raise")."""
+    x, y = offset[..., 0], offset[..., 1]
+    gain = np.maximum(x * x + y * y, MIN_DISTANCE_M * MIN_DISTANCE_M) \
+        ** (-config.path_loss_coeff_db_per_decade / 20.0)
+    k = dbm_to_mw(np.float64(power_dbm + 2.0 * config.antenna_gain_db + 28.0))
+    return k / (freq_mhz * freq_mhz) * gain * fading
 
 
 def place(u: np.ndarray, distance_m) -> np.ndarray:

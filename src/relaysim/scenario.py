@@ -151,27 +151,29 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
                          "negative")
     lo, hi = config.interferer_min, config.interferer_max
     channels = (CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1)
-    links = len(PAYLOAD_PAIRS) + 4 * hi
-    first = start // BLOCK_TRIALS
-    drawn = []
-    for b in range(first, -(-stop // BLOCK_TRIALS)):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
-        drawn.append((rng.integers(*channels, BLOCK_TRIALS),
-                      rng.random((BLOCK_TRIALS, 2, 2)),
-                      rng.integers(lo, hi + 1, BLOCK_TRIALS),
-                      rng.random((BLOCK_TRIALS, hi, 2)),
-                      rng.integers(*channels, (BLOCK_TRIALS, hi)),
-                      rng.standard_exponential((BLOCK_TRIALS, links))))
-    # The integer draws are converted to floats, which hold them exactly,
+    first, last = start // BLOCK_TRIALS, -(-stop // BLOCK_TRIALS)
+    # Each covering block's draws are made into its rows of float arrays
+    # for all of them, and the range is returned as views of their rows.
+    # The integer draws are assigned into floats, which hold them exactly,
     # before any arithmetic: integer comparisons and mixed-type arithmetic
     # page in 64-128 KiB more of numpy's code each, which shows in the
     # peak memory of a run.
-    rows = slice(start - first * BLOCK_TRIALS, stop - first * BLOCK_TRIALS)
+    n = (last - first) * BLOCK_TRIALS
     carrier_k, relay_u, count, interferer_u, interferer_k, gains = (
-        (np.concatenate(arrays) if len(drawn) > 1 else arrays[0])[rows]
-        .astype(float, copy=False) for arrays in zip(*drawn))
-    interferer_mhz = np.where(np.arange(hi) < count[:, None],
-                              _center_mhz(interferer_k), 0.0)
-    return TrialBlock(_center_mhz(carrier_k), relay_u, interferer_u,
-                      interferer_mhz, gains)
+        np.empty((n,) + shape) for shape in
+        ((), (2, 2), (), (hi, 2), (hi,), (len(PAYLOAD_PAIRS) + 4 * hi,)))
+    for i, b in enumerate(range(first, last)):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
+        rows = slice(i * BLOCK_TRIALS, (i + 1) * BLOCK_TRIALS)
+        carrier_k[rows] = rng.integers(*channels, BLOCK_TRIALS)
+        rng.random(out=relay_u[rows])
+        count[rows] = rng.integers(lo, hi + 1, BLOCK_TRIALS)
+        rng.random(out=interferer_u[rows])
+        interferer_k[rows] = rng.integers(*channels, (BLOCK_TRIALS, hi))
+        rng.standard_exponential(out=gains[rows])
+    rows = slice(start - first * BLOCK_TRIALS, stop - first * BLOCK_TRIALS)
+    interferer_mhz = np.where(np.arange(hi) < count[rows, None],
+                              _center_mhz(interferer_k[rows]), 0.0)
+    return TrialBlock(_center_mhz(carrier_k[rows]), relay_u[rows],
+                      interferer_u[rows], interferer_mhz, gains[rows])

@@ -40,8 +40,9 @@ _LN2 = math.log(2.0)
 
 def _check_nonneg(*snrs) -> None:
     for g in snrs:
-        if not np.min(g) >= 0:  # a NaN minimum fails too
-            raise ValueError(f"SNR must be non-negative, got {np.min(g)}")
+        low = np.min(g, initial=np.inf)
+        if not low >= 0:  # empty passes, a NaN minimum fails
+            raise ValueError(f"SNR must be non-negative, got {low}")
 
 
 def _checked(body):
@@ -57,7 +58,9 @@ def _checked(body):
 
 
 def _lg(snr):
-    # np.log for log2: see the note on numpy routines in propagation.py.
+    # np.log for log2: each further numpy math routine a run calls
+    # (np.log2, np.log10, ...) pages in about 64 KiB more of numpy's code,
+    # which shows in the peak memory of a run.
     return np.log(1.0 + snr) / _LN2
 
 
@@ -182,24 +185,54 @@ _FORMULAS = {
 }
 
 
-def strategy_rates(sinr, kinds) -> np.ndarray:
+def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
     """Spectral efficiency in bits/s/Hz of each strategy in `kinds`, a
-    non-empty iterable of StrategyKinds; a repeated kind is evaluated again.
+    non-empty iterable of StrategyKinds.
 
     sinr holds the directed payload SINRs on its last axis, in link_sinrs
-    column order; the result has one entry per kind on its last axis.
+    column order; the result has one entry per kind on its last axis. Given
+    `out`, of shape sinr.shape[:-2] + (len(kinds), rows) for a sinr of
+    shape (..., rows, 8), the rates are written into out[..., i, :] for the
+    i-th kind instead, and out is returned.
+
     A formula that returns the rates of two directions reports their sum.
-    The columns the kinds read are checked once, as the public rate_*
-    functions check their arguments; the formula bodies run unchecked.
+    Each formula body runs once per call on each set of columns: an
+    exchange reuses its one-way strategy's forward rate, and a repeated
+    kind its first result, so its columns are equal. The columns the kinds
+    read are checked once, as the public rate_* functions check their
+    arguments; the formula bodies run unchecked.
     """
     kinds = tuple(kinds)
     if not kinds or not set(kinds) <= _FORMULAS.keys():
         raise ValueError("kinds must be a non-empty sequence of StrategyKinds")
+    rows = sinr.shape[:-1]
+    if out is None:
+        rates = np.empty(rows + (len(kinds),))
+        slots = np.moveaxis(rates, -1, 0)
+    elif sinr.ndim < 2 or out.shape != rows[:-1] + (len(kinds),) + rows[-1:]:
+        raise ValueError("out must have shape sinr.shape[:-2] + "
+                         "(len(kinds), rows)")
+    else:
+        rates, slots = out, np.moveaxis(out, -2, 0)
     _check_nonneg(sinr[..., sorted({c for kind in kinds
                                     for c in _FORMULAS[kind][1]})])
-    rates = []
-    for kind in kinds:
+    done = {}
+
+    def run(body, *columns):
+        """body's rates on the sinr columns, once per call for each set."""
+        if (body, columns) not in done:
+            done[body, columns] = body(*(sinr[..., c] for c in columns))
+        return done[body, columns]
+
+    for i, kind in enumerate(kinds):
         formula, columns = _FORMULAS[kind]
-        rate = formula(*(sinr[..., c] for c in columns))
-        rates.append(rate[0] + rate[1] if isinstance(rate, tuple) else rate)
-    return np.stack(rates, axis=-1)
+        if isinstance(formula, partial):  # rate_exchange of a one-way body
+            rate = formula.func(partial(run, *formula.args), *columns)
+        else:
+            rate = run(formula, *columns)
+        slot = slots[i, ...]  # a view, also when it is 0-d
+        if isinstance(rate, tuple):
+            np.add(*rate, out=slot)
+        else:
+            slot[...] = rate
+    return rates

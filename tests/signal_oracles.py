@@ -4,11 +4,14 @@ These simulate actual complex baseband symbols through the relay chains
 and measure the end-to-end SNR empirically (via the correlation of the
 received signal with the transmitted symbols), with no reference to the
 closed-form SNR expressions they are used to check. payload_gains
-samples the engine's own fading draws for the tests of their law.
+samples the engine's own fading draws for the tests of their law, and
+path_loss_db is the ITU indoor path loss in dB, the reference of the
+engine's linear link budget.
 """
 
 import numpy as np
 
+from relaysim.propagation import MIN_DISTANCE_M
 from relaysim.scenario import PAYLOAD_PAIRS, ScenarioConfig, draw_block
 
 
@@ -67,3 +70,18 @@ def payload_gains(seed, samples):
     trials = samples // len(PAYLOAD_PAIRS)
     block = draw_block(ScenarioConfig(seed=seed), 0, trials)
     return block.fading[:, :len(PAYLOAD_PAIRS)].ravel()
+
+
+def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float):
+    """ITU indoor path loss in dB, zero floor-penetration term.
+
+    20*log10(f_MHz) + N*log10(d_m) - 28, with d clamped to MIN_DISTANCE_M.
+    Frequencies and distances may be broadcastable arrays.
+    """
+    if not np.min(freq_mhz, initial=np.inf) > 0:  # empty passes, NaN fails
+        raise ValueError("frequency must be positive")
+    if coeff_db_per_decade <= 0:
+        raise ValueError("path loss coefficient must be positive")
+    d = np.maximum(distance_m, MIN_DISTANCE_M)
+    return 20.0 * np.log10(freq_mhz) + coeff_db_per_decade * np.log10(d) \
+        - 28.0

@@ -372,7 +372,6 @@ class TestRunSweep:
         # calls are stubbed out: only their arguments are counted.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         drawn, calls = [], []
-        rates = np.zeros((46, montecarlo.ROWS, 1))
 
         def draw_block(config, start, stop):
             drawn.append((start, stop))
@@ -382,8 +381,8 @@ class TestRunSweep:
             calls.append(len(distances))
             return len(distances), rows
 
-        def strategy_rates(shape, kinds):
-            return rates[:shape[0], :shape[1]]
+        def strategy_rates(shape, kinds, out):
+            assert out.shape == (shape[0], len(kinds), shape[1])
 
         for stub in (draw_block, link_sinrs, strategy_rates):
             monkeypatch.setattr(montecarlo, stub.__name__, stub)

@@ -16,7 +16,6 @@ from relaysim.propagation import (
     interference_mw,
     link_sinrs,
     node_positions,
-    path_loss_db,
     place,
     received_mw,
 )
@@ -29,7 +28,7 @@ from relaysim.scenario import (
     draw_block,
 )
 
-from signal_oracles import payload_gains
+from signal_oracles import path_loss_db, payload_gains
 
 
 class TestPathLoss:
@@ -64,8 +63,8 @@ class TestPathLoss:
             path_loss_db(2405.0, 10.0, 0.0)
 
     def test_empty_batch(self):
-        # interference_mw passes the empty batch of a block with no
-        # co-channel interferer
+        # broadcasts an empty batch, as interference_mw's received_mw call
+        # does for a block with no co-channel interferer
         empty = path_loss_db(np.empty((0, 1)), np.empty((3, 0, 4)), 28.0)
         assert empty.shape == (3, 0, 4)
 
@@ -294,12 +293,15 @@ def _dense_interference_mw(block, config, distance_m=None):
     L = config.distance_m if distance_m is None else distance_m
     offset = place(block.interferer_u, L)[..., None, :] \
         - node_positions(block, L)[..., None, :, :]
-    pl = path_loss_db(block.carrier_mhz[:, None, None],
-                      np.hypot(offset[..., 0], offset[..., 1]),
-                      config.path_loss_coeff_db_per_decade)
+    # the ITU budget in linear form: K f^-2 max(d^2, 1)^(-N/20) |h|^2
+    k = dbm_to_mw(np.float64(config.interferer_power_dbm
+                             + 2.0 * config.antenna_gain_db + 28.0))
+    f = block.carrier_mhz[:, None, None]
+    d2 = np.maximum(offset[..., 0] ** 2 + offset[..., 1] ** 2,
+                    MIN_DISTANCE_M ** 2)
     fading = block.fading[:, len(PAYLOAD_PAIRS):].reshape(trials, n, 4)
-    power = dbm_to_mw(config.interferer_power_dbm
-                      + 2.0 * config.antenna_gain_db - pl) * fading
+    power = k / (f * f) * d2 ** (-config.path_loss_coeff_db_per_decade
+                                 / 20.0) * fading
     cochannel = block.interferer_mhz == block.carrier_mhz[:, None]
     return np.where(cochannel[..., None], power, 0.0).sum(axis=-2)
 

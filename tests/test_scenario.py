@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ class TestSampling:
             assert not block.interferer_mhz[t, n:].any()
             # padding is marked by carrier 0 alone: its gains are as drawn
             np.testing.assert_array_equal(block.fading[t], gains[row])
+
+    @pytest.mark.parametrize("lo, hi", [(1, 3), (0, 6)])
+    def test_draws_in_place(self, lo, hi):
+        # the draws are made into the arrays the block returns: the memory
+        # a call takes at its peak stays well under two copies of the block
+        cfg = ScenarioConfig(seed=3, interferer_min=lo, interferer_max=hi)
+        draw_block(cfg, 0, 2 * BLOCK_TRIALS)
+        tracemalloc.start()
+        try:
+            block = draw_block(cfg, 0, 2 * BLOCK_TRIALS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(block, f.name).nbytes
+                   for f in dataclasses.fields(block))
+        assert peak <= 1.5 * size, peak / size
 
     @pytest.mark.parametrize("start, stop", [(5, 5), (4, 2), (-1, 3)])
     def test_rejects_empty_or_negative_range(self, start, stop):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import relaysim
 from relaysim.propagation import DR1, DS, R1D, R1S, R2D, SD, SR1, SR2
 from relaysim.strategies import (
     ALL_STRATEGIES,
+    _FORMULAS,
     StrategyKind,
     af_equivalent_snr,
     rate_af_beamform2,
@@ -346,3 +348,105 @@ class TestEvaluateStrategy:
         assert len(names) == 9
         for name in names:
             assert getattr(relaysim, name).__name__ == name
+
+
+def _per_kind(sinr, kinds):
+    """Each kind's _FORMULAS body run on its own columns, the rates of two
+    directions summed, stacked on the last axis."""
+    rates = []
+    for kind in kinds:
+        formula, columns = _FORMULAS[kind]
+        rate = formula(*(sinr[..., c] for c in columns))
+        rates.append(rate[0] + rate[1] if isinstance(rate, tuple) else rate)
+    return np.stack(rates, axis=-1)
+
+
+class TestSharedRates:
+    """strategy_rates runs each body once per set of columns and writes the
+    rates into one array, yet equals per-kind evaluation bit for bit."""
+
+    KINDS = {
+        "all": ALL_STRATEGIES,
+        "subset": (StrategyKind.UNI_DF_EXCHANGE, StrategyKind.DIRECT,
+                   StrategyKind.TWOWAY_AF),
+        "permuted": ALL_STRATEGIES[1::2] + ALL_STRATEGIES[::2],
+        "repeated": (StrategyKind.DIRECT_EXCHANGE, StrategyKind.DIRECT,
+                     StrategyKind.TWOWAY_DF, StrategyKind.DIRECT,
+                     StrategyKind.UNI_AF_EXCHANGE,
+                     StrategyKind.DIRECT_EXCHANGE, StrategyKind.TWOWAY_DF),
+    }
+
+    @staticmethod
+    def _sinr(shape):
+        # SINRs over 12 decades, with dead links and the ties that decide
+        # the decoding order of two-way DF
+        rng = np.random.default_rng(len(shape))
+        sinr = 10.0 ** rng.uniform(-4.0, 8.0, shape + (8,))
+        sinr[rng.random(shape + (8,)) < 0.1] = 0.0
+        tie = rng.random(shape) < 0.2
+        sinr[..., DR1] = np.where(tie, sinr[..., SR1], sinr[..., DR1])
+        return sinr
+
+    @pytest.mark.parametrize("kinds", KINDS.values(), ids=KINDS)
+    @pytest.mark.parametrize("shape", [(), (64,), (3, 41)],
+                             ids=["1d", "2d", "3d"])
+    def test_matches_per_kind_bodies(self, kinds, shape):
+        sinr = self._sinr(shape)
+        want = _per_kind(sinr, kinds)
+        got = strategy_rates(sinr, kinds)
+        assert got.shape == want.shape == shape + (len(kinds),)
+        assert got.tobytes() == want.tobytes()
+        if not shape:
+            return
+        # out as _item_tables passes it: kinds before rows, a slice of the
+        # rows of a larger table, whose other rows stay untouched
+        rows = shape[-1]
+        table = np.full(shape[:-1] + (len(kinds), rows + 7), np.nan)
+        out = table[..., 3:3 + rows]
+        assert strategy_rates(sinr, kinds, out) is out
+        assert out.tobytes() == np.swapaxes(want, -1, -2).tobytes()
+        assert np.isnan(table[..., :3]).all() and \
+            np.isnan(table[..., 3 + rows:]).all()
+
+    def test_frees_its_results_on_return(self):
+        # no reference cycle keeps a call's intermediate rates alive until
+        # the cyclic collector runs: that raised a sweep's memory peak
+        gc.collect()
+        gc.disable()
+        try:
+            strategy_rates(self._sinr((64,)), ALL_STRATEGIES)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("sinr_shape, out_shape", [
+        ((8,), (2,)), ((5, 8), (5, 2)), ((5, 8), (3, 5)),
+        ((4, 5, 8), (2, 5)), ((4, 5, 8), (4, 5, 2))])
+    def test_rejects_a_misshapen_out(self, sinr_shape, out_shape):
+        with pytest.raises(ValueError, match=r"^out must have shape "):
+            strategy_rates(np.ones(sinr_shape),
+                           (StrategyKind.DIRECT, StrategyKind.TWOWAY_DF),
+                           np.empty(out_shape))
+
+    @pytest.mark.parametrize("shape", [(0, 8), (3, 0, 8)])
+    def test_zero_rows_give_an_empty_table(self, shape):
+        sinr = np.zeros(shape)
+        kinds = len(ALL_STRATEGIES)
+        assert strategy_rates(sinr, ALL_STRATEGIES).shape == \
+            shape[:-1] + (kinds,)
+        out = np.empty(shape[:-2] + (kinds, 0))
+        assert strategy_rates(sinr, ALL_STRATEGIES, out) is out
+        with pytest.raises(ValueError,
+                           match="^SNR must be non-negative, got nan$"):
+            strategy_rates(np.full((1, 8), np.nan), ALL_STRATEGIES)
+
+    @pytest.mark.parametrize("formula, arity", [
+        (rate_direct, 1), (af_equivalent_snr, 2), (rate_af_single, 3),
+        (rate_df_single, 3), (rate_af_beamform2, 5), (rate_df_beamform2, 5),
+        (twoway_af_snrs, 2), (rate_twoway_af, 2), (rate_twoway_df, 2)])
+    def test_public_formulas_take_empty_arrays(self, formula, arity):
+        result = formula(*[np.empty(0)] * arity)
+        for rates in result if isinstance(result, tuple) else (result,):
+            assert rates.shape == (0,)
+        with pytest.raises(ValueError, match="got nan"):
+            formula(*[np.array([np.nan])] * arity)
