@@ -152,8 +152,8 @@ def draw_block(config: ScenarioConfig, start: int, stop: int) -> TrialBlock:
     lo, hi = config.interferer_min, config.interferer_max
     channels = (CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1)
     first, last = start // BLOCK_TRIALS, -(-stop // BLOCK_TRIALS)
-    # Each covering block's draws are made into its rows of float arrays
-    # for all of them, and the range is returned as views of their rows.
+    # The covering blocks are drawn in place, each into its own rows of one
+    # float array per draw, and the range is returned as views of its rows.
     # The integer draws are assigned into floats, which hold them exactly,
     # before any arithmetic: integer comparisons and mixed-type arithmetic
     # page in 64-128 KiB more of numpy's code each, which shows in the

@@ -205,11 +205,12 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
     kinds = tuple(kinds)
     if not kinds or not set(kinds) <= _FORMULAS.keys():
         raise ValueError("kinds must be a non-empty sequence of StrategyKinds")
-    rows = sinr.shape[:-1]
+    shape = sinr.shape[:-1]
     if out is None:
-        rates = np.empty(rows + (len(kinds),))
+        rates = np.empty(shape + (len(kinds),))
         slots = np.moveaxis(rates, -1, 0)
-    elif sinr.ndim < 2 or out.shape != rows[:-1] + (len(kinds),) + rows[-1:]:
+    elif sinr.ndim < 2 or \
+            out.shape != shape[:-1] + (len(kinds),) + shape[-1:]:
         raise ValueError("out must have shape sinr.shape[:-2] + "
                          "(len(kinds), rows)")
     else:
@@ -220,6 +221,8 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
 
     def run(body, *columns):
         """body's rates on the sinr columns, once per call for each set."""
+        # run must not refer to itself: that closure cycle would keep the
+        # call's rates alive until the cyclic collector runs
         if (body, columns) not in done:
             done[body, columns] = body(*(sinr[..., c] for c in columns))
         return done[body, columns]
