@@ -36,8 +36,15 @@ from .strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 ITEMS_PER_WORKER = 4
 # Trial-points per numpy call, and the unit of pooled work items. It must
 # be a whole number of contract blocks, or draw_block redraws the block
-# at each call boundary.
-ROWS = 2 * BLOCK_TRIALS
+# at each call boundary. More rows per call cost less per row, but every
+# call's arrays grow with them, under bench/run.py's +5% peak_rss_mib
+# bound. Against 2 blocks, 4 blocks moved the memory probes
+# (bench/memory_probe.py, 7 seeds) of sweep_w1, cdf_w1 and fine_sweep_w2
+# by -1.3%, +1.5% and +3.1% (+3.6% over 10 bench/run.py pairs), near a 3%
+# margin: fine_sweep_w2's operation, 46 points of 200 trials at 5 per
+# call, peaks in strategy_rates. 5 blocks, the smallest larger ROWS, read
+# +3.4% there, and 8 blocks +5.0%.
+ROWS = 4 * BLOCK_TRIALS
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -90,11 +97,13 @@ def _item_tables(config: ScenarioConfig, groups: list[np.ndarray],
         blocks = list(blocks)
     for at in groups:
         out = np.empty((len(at), len(kinds), stop - start))
-        for first, block in zip(range(0, stop - start, rows), blocks):
+        # no name or zip tuple holds a block while the next one is drawn
+        placed = iter(blocks)
+        for first in range(0, stop - start, rows):
             try:
                 with np.errstate(all="raise", under="ignore"):
-                    strategy_rates(link_sinrs(block, config, at), kinds,
-                                   out[..., first:first + rows])
+                    strategy_rates(link_sinrs(next(placed), config, at),
+                                   kinds, out[..., first:first + rows])
             except FloatingPointError as exc:
                 raise ValueError(f"SINRs out of floating-point range ({exc}); "
                                  "check the powers in dBm") from None

@@ -4,15 +4,18 @@ These simulate actual complex baseband symbols through the relay chains
 and measure the end-to-end SNR empirically (via the correlation of the
 received signal with the transmitted symbols), with no reference to the
 closed-form SNR expressions they are used to check. payload_gains
-samples the engine's own fading draws for the tests of their law, and
+samples the engine's own fading draws for the tests of their law,
 path_loss_db is the ITU indoor path loss in dB, the reference of the
-engine's linear link budget.
+engine's linear link budget, and node_positions is the table of every
+node's position, the reference of the offsets the engine builds straight
+from the placed relays.
 """
 
 import numpy as np
 
-from relaysim.propagation import MIN_DISTANCE_M
-from relaysim.scenario import PAYLOAD_PAIRS, ScenarioConfig, draw_block
+from relaysim.propagation import MIN_DISTANCE_M, place
+from relaysim.scenario import D, PAYLOAD_PAIRS, R1, ScenarioConfig, \
+    draw_block
 
 
 def _cn(rng, n):
@@ -85,3 +88,14 @@ def path_loss_db(freq_mhz, distance_m, coeff_db_per_decade: float):
     d = np.maximum(distance_m, MIN_DISTANCE_M)
     return 20.0 * np.log10(freq_mhz) + coeff_db_per_decade * np.log10(d) \
         - 28.0
+
+
+def node_positions(block, distance_m):
+    """S, D, R1, R2 positions in m of each trial, shape (B, 4, 2), or
+    (G, B, 4, 2) at a 1-D array of G distances: S at the origin, D at
+    (L, 0), the relays placed in the box."""
+    lead = np.shape(distance_m)
+    xy = np.zeros(lead + (len(block.carrier_mhz), 4, 2))
+    xy[..., R1:, :] = place(block.relay_u, distance_m)
+    xy[..., D, 0] = np.reshape(distance_m, lead + (1,))
+    return xy

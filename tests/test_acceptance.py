@@ -17,13 +17,13 @@ from scipy import stats as scipy_stats
 
 from relaysim.cli import main
 from relaysim.montecarlo import percentile, run_cdf, run_sweep
-from relaysim.propagation import dbm_to_mw, node_positions
+from relaysim.propagation import dbm_to_mw
 from relaysim.scenario import R1, ScenarioConfig, draw_block
 from relaysim.strategies import ALL_STRATEGIES, StrategyKind, \
     af_equivalent_snr, rate_af_single, rate_df_single, twoway_af_snrs
 
-from signal_oracles import af_hop_snr, path_loss_db, payload_gains, \
-    twoway_af_snrs as oracle_twoway
+from signal_oracles import af_hop_snr, node_positions, path_loss_db, \
+    payload_gains, twoway_af_snrs as oracle_twoway
 
 DISTANCES = tuple(float(L) for L in range(10, 101, 10))
 TRIALS = 10_000

@@ -637,8 +637,8 @@ _GOLDEN = {
     # at the sixth decimal, which %.6f rounds half to even
     "cdf_ties": (["--mode", "cdf", "--trials", "1024", "--seed", "1"],
                  "c984ca663e1a3b42c8384a6791eb18bb5ab8c95e87a2e266cf77afa5289f2374"),
-    # 46 points of 50 trials, placed 10 distances per call, among 4-12
-    # interferers: some trials sum two co-channel terms
+    # 46 points of 50 trials, placed ROWS // 50 distances per call, among
+    # 4-12 interferers: some trials sum two co-channel terms
     "sweep_cochannel": (["--mode", "sweep", "--trials", "50", "--lstep", "2",
                          "--seed", "3"],
                         "1439f3cde119680d4c1dff687f79f75e2e3107c22c84b6f832d8efd61a50c42a"),
@@ -655,8 +655,10 @@ _GOLDEN_CONFIG = {
 }
 
 
-# at two CPUs only the cases of more than ROWS trials start a pool, so the
-# 2-worker digests cover the pooled path as well as the serial one
+# at two CPUs only the cases of more than ROWS trials start a pool. The
+# 2-worker ids run at ROWS = 2 blocks, where these three cases do, so that
+# their digests cover the pooled path as well as the serial one; the
+# 1-worker ids run at the default ROWS
 _POOLED = {"cdf_chunks", "cdf_ties", "sweep_tail"}
 
 
@@ -667,6 +669,8 @@ def test_golden_digest(tmp_path, monkeypatch, case, workers):
     if case in _GOLDEN_CONFIG:
         argv = argv + ["--config", _write(tmp_path, _GOLDEN_CONFIG[case])]
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    if workers == "2":
+        monkeypatch.setattr(montecarlo, "ROWS", 2 * montecarlo.BLOCK_TRIALS)
     started, real_pool = [], montecarlo.ProcessPoolExecutor
 
     def counting_pool(max_workers):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,6 +198,23 @@ class TestRunPoint:
                   for a, b in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(whole, np.hstack(pieces))
 
+    def test_frees_each_block_before_the_next_draw(self, monkeypatch):
+        # a serial run of one distance group draws a block per call: the
+        # previous block must be gone by then, or a call of ROWS trials
+        # holds two blocks at its peak
+        drawn = []
+
+        def drawing(config, start, stop):
+            assert all(ref() is None for ref in drawn)
+            block = draw_block(config, start, stop)
+            drawn.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(montecarlo, "draw_block", drawing)
+        run_point(ScenarioConfig(seed=48), 3 * montecarlo.ROWS + 7,
+                  (StrategyKind.DIRECT,))
+        assert len(drawn) == 4
+
     def test_worker_count_invariance(self):
         cfg = ScenarioConfig(distance_m=60.0, seed=22)
         kinds = (StrategyKind.DIRECT, StrategyKind.TWOWAY_AF)
@@ -302,7 +320,7 @@ class TestRunSweep:
         cfg = ScenarioConfig(seed=41)
         distances = tuple(float(L) for L in range(10, 101, 2))
         assert len(distances) == 46
-        trials = 2 * montecarlo.BLOCK_TRIALS + 7
+        trials = montecarlo.ROWS + 7
         pooled = run_sweep(cfg, distances, trials, workers=2)
         assert pool_sizes == [2]
         serial = run_sweep(cfg, distances, trials, workers=1)
@@ -349,8 +367,10 @@ class TestRunSweep:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         drawn = self._count_draws(monkeypatch)
         b = montecarlo.BLOCK_TRIALS
+        # more than ROWS trials: more than one work item
+        trials = montecarlo.ROWS + 7
         run_sweep(ScenarioConfig(seed=44),
-                  tuple(float(L) for L in range(10, 101, 10)), 2 * b + 7,
+                  tuple(float(L) for L in range(10, 101, 10)), trials,
                   workers=workers)
         assert pool_sizes == ([] if workers == 1 else [2])
         # whole blocks per draw, disjoint and covering every trial, so that
@@ -358,10 +378,10 @@ class TestRunSweep:
         assert all(start % b == 0 for start, _ in drawn)
         covered = [t for start, stop in sorted(drawn)
                    for t in range(start, stop)]
-        assert covered == list(range(2 * b + 7))
+        assert covered == list(range(trials))
         blocks = [k for start, stop in drawn
                   for k in range(start // b, -(-stop // b))]
-        assert len(blocks) == len(set(blocks)) == 3
+        assert len(blocks) == len(set(blocks)) == -(-trials // b)
 
     def test_pooled_runs_make_the_serial_draws(self, pool_sizes,
                                                monkeypatch):
@@ -434,13 +454,15 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_packed_distances_match_run_point(self, workers, monkeypatch):
         # an item of fewer than ROWS trials is placed at as many distances
-        # per call as fit into ROWS rows: 23 points of 100 trials make four
-        # calls of five and a remainder of three; sweep_w1's 10 points of
-        # 50 trials make one call
+        # per call as fit into ROWS rows: 23 points of 100 trials make calls
+        # of ROWS // 100 points and a remainder (10, 10 and 3 at ROWS =
+        # 1024); sweep_w1's 10 points of 50 trials make one call
         cfg = ScenarioConfig(seed=45, interferer_min=0, interferer_max=5)
         calls = self._count_placements(monkeypatch)
-        for points, trials, placements in ((23, 100, [5, 5, 5, 5, 3]),
-                                           (10, 50, [10])):
+        for points, trials in ((23, 100), (10, 50)):
+            group = montecarlo.ROWS // trials
+            placements = [min(group, points - i)
+                          for i in range(0, points, group)]
             distances = tuple(float(L) for L in range(12, 12 + 4 * points, 4))
             calls.clear()
             swept = run_sweep(cfg, distances, trials, workers=workers)
@@ -457,37 +479,41 @@ class TestRunSweep:
         cfg = ScenarioConfig(seed=45)
         distances = tuple(float(L) for L in range(12, 104, 4))
         calls = self._count_placements(monkeypatch)
-        b = montecarlo.BLOCK_TRIALS
-        assert montecarlo.ROWS == 2 * b
-        # a one-block item packs ROWS // b = 2 distances per call
+        b, rows = montecarlo.BLOCK_TRIALS, montecarlo.ROWS
+        group = rows // b
+        assert rows == group * b and group > 1
+        # a one-block item packs ROWS // b distances per call: 23 points
+        # make five calls of 4 and one of 3 at ROWS = 1024
         run_sweep(cfg, distances, b, (StrategyKind.DIRECT,))
-        assert calls == [2] * 11 + [1]
+        assert calls == [min(group, 23 - i) for i in range(0, 23, group)]
         # a serial item of more than ROWS trials goes one distance per
         # call, in calls of ROWS rows and its 7-row tail
         drawn = self._count_draws(monkeypatch)
         calls.clear()
-        run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,))
-        assert drawn == [(0, 2 * b), (2 * b, 2 * b + 7)]
+        run_sweep(cfg, distances[:3], rows + 7, (StrategyKind.DIRECT,))
+        assert drawn == [(0, rows), (rows, rows + 7)]
         assert calls == [1] * 6
         # at two workers each item is a range of whole ROWS over the run's
-        # groups: the 512-row item and the 7-row tail item both go one
+        # groups: the ROWS-row item and the 7-row tail item both go one
         # distance per call, as the serial run does
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         calls.clear()
-        run_sweep(cfg, distances[:3], 2 * b + 7, (StrategyKind.DIRECT,),
+        run_sweep(cfg, distances[:3], rows + 7, (StrategyKind.DIRECT,),
                   workers=2)
         assert pool_sizes == [2]
         assert calls == [1] * 6
 
-    @pytest.mark.parametrize("rows", [1, 2, 4], ids=lambda k: f"{k}_blocks")
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5, 8],
+                             ids=lambda k: f"{k}_blocks")
     def test_tables_do_not_depend_on_rows(self, rows, pool_sizes,
                                           monkeypatch):
         # every row's bits are independent of the packing: any whole number
         # of blocks per call gives the tables of the default ROWS, at one
         # worker and at two (4 points of 600 trials: two whole blocks and
         # an 88-trial tail). Work items are whole ROWS too, so the widest
-        # draw is the same at both, and 600 trials of 4 blocks per call are
-        # one item, which starts no pool.
+        # draw is the same at both, and 600 trials of 4 or more blocks per
+        # call are one item, which starts no pool. 5 and 8 blocks pack two
+        # and three distances per call, above the default ROWS.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg = ScenarioConfig(seed=47, interferer_min=0, interferer_max=6)
         distances = (15.0, 40.0, 65.0, 90.0)
@@ -502,9 +528,14 @@ class TestRunSweep:
                                              ALL_STRATEGIES, workers))
             widest = max(stop - start for start, stop in drawn)
             assert widest == min(rows * b, 600)
-            for (points, got), (labels, want) in zip(tables, expected,
-                                                     strict=True):
-                assert points == labels
+            # a call of more than 600 rows packs several distances, so the
+            # groups differ from the default's, but no point's table does
+            assert max(len(points) for points, _ in tables) == \
+                max(1, rows * b // 600)
+            assert [d for points, _ in tables for d in points] == \
+                [d for labels, _ in expected for d in labels]
+            for got, want in zip(_point_tables(tables),
+                                 _point_tables(expected), strict=True):
                 np.testing.assert_array_equal(got, want)
         assert pool_sizes == ([2] if rows * b < 600 else [])
 

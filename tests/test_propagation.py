@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from relaysim.propagation import (
     dbm_to_mw,
     interference_mw,
     link_sinrs,
-    node_positions,
     place,
     received_mw,
 )
@@ -28,7 +28,7 @@ from relaysim.scenario import (
     draw_block,
 )
 
-from signal_oracles import path_loss_db, payload_gains
+from signal_oracles import node_positions, path_loss_db, payload_gains
 
 
 class TestPathLoss:
@@ -121,9 +121,9 @@ def _sinr(block, cfg, link):
 
 def _interference_mw(block, cfg, distance_m=None):
     """interference_mw of the block placed at distance_m (default
-    cfg.distance_m)."""
+    cfg.distance_m), its relays placed as link_sinrs places them."""
     L = cfg.distance_m if distance_m is None else distance_m
-    return interference_mw(block, cfg, node_positions(block, L), L)
+    return interference_mw(block, cfg, place(block.relay_u, L), L)
 
 
 class TestLinkSinr:
@@ -270,19 +270,40 @@ class TestDistanceAxis:
 
     @pytest.mark.parametrize("distance", [70.0, DISTANCES])
     def test_nodes_placed_once_per_call(self, monkeypatch, distance):
-        # the interference sum reads the positions link_sinrs placed
+        # the interference sum reads the relay positions link_sinrs placed
+        # for the payload links
         cfg = ScenarioConfig(seed=34, interferer_min=12, interferer_max=12)
         block = draw_block(cfg, 0, 50)
         assert (block.interferer_mhz == block.carrier_mhz[:, None]).any()
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return node_positions(*args)
+        def counted(u, distance_m):
+            calls.append(u is block.relay_u)
+            return place(u, distance_m)
 
-        monkeypatch.setattr(propagation, "node_positions", counted)
+        monkeypatch.setattr(propagation, "place", counted)
         link_sinrs(block, cfg, distance)
-        assert len(calls) == 1
+        assert calls.count(True) == 1
+
+    @pytest.mark.parametrize("trials, points", [(1024, 1), (50, 20)])
+    def test_temporaries_per_row(self, trials, points):
+        # about ROWS trial-points, as one distance or as fine_sweep_w2's 50
+        # trials at 20: the offsets come straight from the placed relays
+        # and the SINRs are divided in place, so the memory a call takes at
+        # its peak stays a small multiple of the SINRs it returns, with no
+        # table of every node's position and no gathered copies of it
+        cfg = ScenarioConfig(seed=35, interferer_min=0, interferer_max=6)
+        block = draw_block(cfg, 0, trials)
+        distances = np.linspace(10.0, 100.0, points) if points > 1 else 70.0
+        link_sinrs(block, cfg, distances)
+        tracemalloc.start()
+        try:
+            sinrs = link_sinrs(block, cfg, distances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sinrs.size == trials * points * 8
+        assert peak <= 3.5 * sinrs.nbytes, peak / sinrs.nbytes
 
 
 def _dense_interference_mw(block, config, distance_m=None):

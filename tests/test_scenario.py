@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relaysim.propagation import DS, R1S, SD, SR1, link_sinrs, \
-    node_positions, place
+from relaysim.propagation import DS, R1S, SD, SR1, link_sinrs, place
 from relaysim.scenario import (
     BLOCK_TRIALS,
     CHANNEL_INDEX_MAX,
@@ -20,6 +19,8 @@ from relaysim.scenario import (
     draw_block,
     _center_mhz,
 )
+
+from signal_oracles import node_positions
 
 CARRIERS_MHZ = [_center_mhz(k)
                 for k in range(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX + 1)]
