@@ -167,7 +167,8 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
             parts = list(pool.map(_run_item, repeat(config), repeat(groups),
                                   starts, stops, repeat(kinds)))
         tables = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
-    yield from zip((at.tolist() for at in groups), tables)
+    for at in groups:  # no zip tuple holds the previous group's table
+        yield at.tolist(), next(tables)
 
 
 def run_point(config: ScenarioConfig, trials: int,
@@ -194,6 +195,7 @@ def _sweep_stats(config: ScenarioConfig, distances_m: Sequence[float],
         stats.append(np.concatenate((group.mean(axis=-1, keepdims=True),
                                      group[..., ranks]), axis=-1))
         distances += points
+        del group  # freed before the next group is computed
     return distances, kinds, np.concatenate(stats)
 
 

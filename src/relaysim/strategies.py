@@ -5,18 +5,18 @@ slots (1/2 prelog), unidirectional information exchange through a relay
 spends four (1/4 prelog), bidirectional relaying exchanges in two. The
 destination maximal-ratio combines direct and relayed copies, so SNRs add.
 
-Every rate formula takes SNRs as floats or as equally shaped arrays.
+Every rate formula takes SNRs as numbers or as equally shaped arrays.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import partial, wraps
+from functools import wraps
 
 import numpy as np
 
-from .propagation import DR1, DS, R1D, R1S, R2D, SD, SR1, SR2
+from .propagation import DR1, DS, LINKS, R1D, R1S, R2D, SD, SR1, SR2
 
 
 class StrategyKind(Enum):
@@ -40,9 +40,8 @@ _LN2 = math.log(2.0)
 
 def _check_nonneg(*snrs) -> None:
     for g in snrs:
-        low = np.min(g, initial=np.inf)
-        if not low >= 0:  # empty passes, a NaN minimum fails
-            raise ValueError(f"SNR must be non-negative, got {low}")
+        if np.size(g) and not np.min(g) >= 0:  # a NaN minimum fails
+            raise ValueError(f"SNR must be non-negative, got {np.min(g)}")
 
 
 def _checked(body):
@@ -162,49 +161,51 @@ def rate_exchange(one_way, *snrs):
     return 0.5 * one_way(*snrs[:half]), 0.5 * one_way(*snrs[half:])
 
 
-# Each strategy's formula body and the link_sinrs columns of its
-# arguments. The two-way strategies use end node A = S, end node B = D and
-# relay R1; their node-relay SINRs take interference as seen at the relay
-# (the receiver of the multiple-access slot).
-_FORMULAS = {
-    StrategyKind.DIRECT: (_rate_direct, (SD,)),
-    StrategyKind.AF_SINGLE: (_rate_af_single, (SD, SR1, R1D)),
-    StrategyKind.DF_SINGLE: (_rate_df_single, (SD, SR1, R1D)),
-    StrategyKind.AF_BEAMFORM2: (_rate_af_beamform2,
-                                (SD, SR1, R1D, SR2, R2D)),
-    StrategyKind.DF_BEAMFORM2: (_rate_df_beamform2,
-                                (SD, SR1, R1D, SR2, R2D)),
-    StrategyKind.TWOWAY_AF: (_rate_twoway_af, (SR1, DR1)),
-    StrategyKind.TWOWAY_DF: (_rate_twoway_df, (SR1, DR1)),
-    StrategyKind.DIRECT_EXCHANGE: (partial(rate_exchange, _rate_direct),
-                                   (SD, DS)),
-    StrategyKind.UNI_AF_EXCHANGE: (partial(rate_exchange, _rate_af_single),
-                                   (SD, SR1, R1D, DS, DR1, R1S)),
-    StrategyKind.UNI_DF_EXCHANGE: (partial(rate_exchange, _rate_df_single),
-                                   (SD, SR1, R1D, DS, DR1, R1S)),
-}
+# Each formula body, the link_sinrs columns of its arguments, and the kinds
+# it serves with the weight of each direction's rate. A one-way body runs
+# on (forward, reverse) column pairs: its strategy reads the forward rate
+# (weight None), its exchange half of each, as rate_exchange gives them. A
+# two-way strategy sums the rates (A->B, B->A) of its body on end node A =
+# S, end node B = D and relay R1, whose node-relay SINRs take interference
+# as seen at the relay (the receiver of the multiple-access slot).
+_ONE_WAY = (slice(SD, DS + 1), slice(SR1, DR1 + 1, 2), slice(R1D, R1S + 1, 2))
+_BEAMFORM = tuple(slice(c, c + 1) for c in (SD, SR1, R1D, SR2, R2D))
+_BODIES = (
+    (_rate_direct, _ONE_WAY[:1],
+     ((StrategyKind.DIRECT, None), (StrategyKind.DIRECT_EXCHANGE, 0.5))),
+    (_rate_af_single, _ONE_WAY,
+     ((StrategyKind.AF_SINGLE, None), (StrategyKind.UNI_AF_EXCHANGE, 0.5))),
+    (_rate_df_single, _ONE_WAY,
+     ((StrategyKind.DF_SINGLE, None), (StrategyKind.UNI_DF_EXCHANGE, 0.5))),
+    (_rate_af_beamform2, _BEAMFORM, ((StrategyKind.AF_BEAMFORM2, None),)),
+    (_rate_df_beamform2, _BEAMFORM, ((StrategyKind.DF_BEAMFORM2, None),)),
+    (_rate_twoway_af, (SR1, DR1), ((StrategyKind.TWOWAY_AF, 1.0),)),
+    (_rate_twoway_df, (SR1, DR1), ((StrategyKind.TWOWAY_DF, 1.0),)),
+)
 
 
 def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
     """Spectral efficiency in bits/s/Hz of each strategy in `kinds`, a
     non-empty iterable of StrategyKinds.
 
-    sinr holds the directed payload SINRs on its last axis, in link_sinrs
+    sinr holds the 8 directed payload SINRs on its last axis, in link_sinrs
     column order; the result has one entry per kind on its last axis. Given
     `out`, of shape sinr.shape[:-2] + (len(kinds), rows) for a sinr of
     shape (..., rows, 8), the rates are written into out[..., i, :] for the
     i-th kind instead, and out is returned.
 
-    A formula that returns the rates of two directions reports their sum.
-    Each formula body runs once per call on each set of columns: an
-    exchange reuses its one-way strategy's forward rate, and a repeated
-    kind its first result, so its columns are equal. The columns the kinds
-    read are checked once, as the public rate_* functions check their
-    arguments; the formula bodies run unchecked.
+    Each formula body that serves one of the kinds runs once, on sinr made
+    link-major (as link_sinrs returns it), and writes all its kinds before
+    the next body runs; a repeated kind gives equal columns. The columns
+    those bodies read are checked once, as the public rate_* functions
+    check their arguments.
     """
     kinds = tuple(kinds)
-    if not kinds or not set(kinds) <= _FORMULAS.keys():
+    if not kinds or not all(isinstance(kind, StrategyKind) for kind in kinds):
         raise ValueError("kinds must be a non-empty sequence of StrategyKinds")
+    if sinr.shape[-1:] != (len(LINKS),):
+        raise ValueError("sinr's last axis must hold the 8 link columns SD, "
+                         "DS, SR1, R1D, DR1, R1S, SR2, R2D")
     shape = sinr.shape[:-1]
     if out is None:
         rates = np.empty(shape + (len(kinds),))
@@ -215,27 +216,24 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
                          "(len(kinds), rows)")
     else:
         rates, slots = out, np.moveaxis(out, -2, 0)
-    _check_nonneg(sinr[..., sorted({c for kind in kinds
-                                    for c in _FORMULAS[kind][1]})])
-    done = {}
-
-    def run(body, *columns):
-        """body's rates on the sinr columns, once per call for each set."""
-        # run must not refer to itself: that closure cycle would keep the
-        # call's rates alive until the cyclic collector runs
-        if (body, columns) not in done:
-            done[body, columns] = body(*(sinr[..., c] for c in columns))
-        return done[body, columns]
-
-    for i, kind in enumerate(kinds):
-        formula, columns = _FORMULAS[kind]
-        if isinstance(formula, partial):  # rate_exchange of a one-way body
-            rate = formula.func(partial(run, *formula.args), *columns)
-        else:
-            rate = run(formula, *columns)
-        slot = slots[i, ...]  # a view, also when it is 0-d
-        if isinstance(rate, tuple):
-            np.add(*rate, out=slot)
-        else:
-            slot[...] = rate
+    bodies, read = [], np.zeros(len(LINKS), bool)
+    for body, columns, serves in _BODIES:
+        # each slot a view, also when it is 0-d
+        writes = [(slots[i, ...], weight) for i, kind in enumerate(kinds)
+                  for served, weight in serves if kind is served]
+        if writes:
+            bodies.append((body, columns, writes))
+            for column in columns:
+                read[column] = True
+    links = np.ascontiguousarray(np.moveaxis(sinr, -1, 0))
+    _check_nonneg(links[read])
+    for body, columns, writes in bodies:
+        directions = body(*(links[column] for column in columns))
+        for slot, weight in writes:
+            if weight is None:
+                slot[...] = directions[0]
+            else:
+                np.add(weight * directions[0], weight * directions[1],
+                       out=slot)
+        del directions  # freed before the next body runs
     return rates

@@ -315,6 +315,24 @@ class TestRunSweep:
                  for L in range(10, 101, 10)]
         assert all(b < a for a, b in zip(means, means[1:]))
 
+    def test_frees_each_group_before_the_next(self, monkeypatch):
+        # a serial sweep of several distance groups computes one group's
+        # table at a time: the previous table must be gone by then, or the
+        # sweep holds two tables at its peak
+        tables = []
+
+        def rating(sinr, kinds, out):
+            if not tables or tables[-1]() is not out.base:
+                assert all(ref() is None for ref in tables)
+                tables.append(weakref.ref(out.base))
+            return strategy_rates(sinr, kinds, out)
+
+        monkeypatch.setattr(montecarlo, "strategy_rates", rating)
+        trials = montecarlo.ROWS // 4
+        run_sweep(ScenarioConfig(seed=49), tuple(range(10, 21)), trials,
+                  (StrategyKind.DIRECT,))
+        assert len(tables) == 3
+
     def test_one_pool_per_sweep(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg = ScenarioConfig(seed=41)

@@ -1,15 +1,18 @@
 import gc
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import relaysim
-from relaysim.propagation import DR1, DS, R1D, R1S, R2D, SD, SR1, SR2
+from relaysim.propagation import (
+    DR1, DS, R1D, R1S, R2D, SD, SR1, SR2, link_sinrs)
+from relaysim.scenario import ScenarioConfig, draw_block
 from relaysim.strategies import (
     ALL_STRATEGIES,
-    _FORMULAS,
     StrategyKind,
     af_equivalent_snr,
     rate_af_beamform2,
@@ -30,13 +33,16 @@ snr_pos = st.floats(min_value=1e-6, max_value=1e9)
 
 class TestDirect:
     @pytest.mark.parametrize("g,expected", [(0.0, 0.0), (1.0, 1.0),
-                                            (3.0, 2.0)])
+                                            (3.0, 2.0), (0, 0.0), (3, 2.0)])
     def test_values(self, g, expected):
         assert rate_direct(g) == pytest.approx(expected)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             rate_direct(-0.1)
+        with pytest.raises(ValueError, match="^SNR must be non-negative, "
+                                             "got -2$"):
+            rate_direct(np.array([1, -2]))
 
 
 class TestAfEquivalentSnr:
@@ -350,20 +356,35 @@ class TestEvaluateStrategy:
             assert getattr(relaysim, name).__name__ == name
 
 
+# Each kind's public formula and the link_sinrs columns of its arguments
+_PUBLIC = {
+    StrategyKind.DIRECT: (rate_direct, (SD,)),
+    StrategyKind.AF_SINGLE: (rate_af_single, (SD, SR1, R1D)),
+    StrategyKind.DF_SINGLE: (rate_df_single, (SD, SR1, R1D)),
+    StrategyKind.AF_BEAMFORM2: (rate_af_beamform2, (SD, SR1, R1D, SR2, R2D)),
+    StrategyKind.DF_BEAMFORM2: (rate_df_beamform2, (SD, SR1, R1D, SR2, R2D)),
+    StrategyKind.TWOWAY_AF: (rate_twoway_af, (SR1, DR1)),
+    StrategyKind.TWOWAY_DF: (rate_twoway_df, (SR1, DR1)),
+    **{kind: (partial(rate_exchange, one_way), columns)
+       for kind, one_way, columns in _EXCHANGES},
+}
+
+
 def _per_kind(sinr, kinds):
-    """Each kind's _FORMULAS body run on its own columns, the rates of two
+    """Each kind's public formula run on its own columns, the rates of two
     directions summed, stacked on the last axis."""
     rates = []
     for kind in kinds:
-        formula, columns = _FORMULAS[kind]
+        formula, columns = _PUBLIC[kind]
         rate = formula(*(sinr[..., c] for c in columns))
         rates.append(rate[0] + rate[1] if isinstance(rate, tuple) else rate)
     return np.stack(rates, axis=-1)
 
 
 class TestSharedRates:
-    """strategy_rates runs each body once per set of columns and writes the
-    rates into one array, yet equals per-kind evaluation bit for bit."""
+    """strategy_rates runs each formula body once, a one-way body on both
+    directions, and writes the rates into one array, yet equals the public
+    formulas run per kind bit for bit."""
 
     KINDS = {
         "all": ALL_STRATEGIES,
@@ -428,6 +449,32 @@ class TestSharedRates:
                            (StrategyKind.DIRECT, StrategyKind.TWOWAY_DF),
                            np.empty(out_shape))
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), (9,), (5, 9), (),
+                                       (2, 5, 0)])
+    def test_rejects_a_link_axis_without_8_columns(self, shape):
+        with pytest.raises(ValueError, match="^sinr's last axis must hold "
+                                             "the 8 link columns SD, DS, "):
+            strategy_rates(np.ones(shape), ALL_STRATEGIES)
+
+    @pytest.mark.parametrize("trials, points", [(1024, 1), (50, 20)])
+    def test_temporaries_per_row(self, trials, points):
+        # about ROWS trial-points as _item_tables passes them: link-major
+        # SINRs and an out table. Each body's rates are freed before the
+        # next body runs, so a call's peak stays near the size of the
+        # table it fills.
+        cfg = ScenarioConfig(seed=36, interferer_min=0, interferer_max=6)
+        sinr = link_sinrs(draw_block(cfg, 0, trials), cfg,
+                          np.linspace(10.0, 100.0, points))
+        out = np.empty((points, len(ALL_STRATEGIES), trials))
+        strategy_rates(sinr, ALL_STRATEGIES, out)
+        tracemalloc.start()
+        try:
+            strategy_rates(sinr, ALL_STRATEGIES, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes, peak / out.nbytes
+
     @pytest.mark.parametrize("shape", [(0, 8), (3, 0, 8)])
     def test_zero_rows_give_an_empty_table(self, shape):
         sinr = np.zeros(shape)
@@ -440,13 +487,26 @@ class TestSharedRates:
                            match="^SNR must be non-negative, got nan$"):
             strategy_rates(np.full((1, 8), np.nan), ALL_STRATEGIES)
 
-    @pytest.mark.parametrize("formula, arity", [
+    PUBLIC = pytest.mark.parametrize("formula, arity", [
         (rate_direct, 1), (af_equivalent_snr, 2), (rate_af_single, 3),
         (rate_df_single, 3), (rate_af_beamform2, 5), (rate_df_beamform2, 5),
         (twoway_af_snrs, 2), (rate_twoway_af, 2), (rate_twoway_df, 2)])
+
+    @PUBLIC
     def test_public_formulas_take_empty_arrays(self, formula, arity):
         result = formula(*[np.empty(0)] * arity)
         for rates in result if isinstance(result, tuple) else (result,):
             assert rates.shape == (0,)
         with pytest.raises(ValueError, match="got nan"):
             formula(*[np.array([np.nan])] * arity)
+
+    @PUBLIC
+    def test_public_formulas_take_integers(self, formula, arity):
+        # integer SNRs are checked and evaluated as the equal floats
+        snrs = [(1, 2, 3, 4, 5)[:arity], [np.array([0, 7])] * arity]
+        for ints in snrs:
+            floats = [np.asarray(g, dtype=float) for g in ints]
+            assert np.array_equal(formula(*ints), formula(*floats))
+        with pytest.raises(ValueError, match="^SNR must be non-negative, "
+                                             "got -1$"):
+            formula(*[np.array([2, -1])] * arity)
