@@ -102,8 +102,8 @@ def _item_tables(config: ScenarioConfig, groups: list[np.ndarray],
         for first in range(0, stop - start, rows):
             try:
                 with np.errstate(all="raise", under="ignore"):
-                    strategy_rates(link_sinrs(next(placed), config, at),
-                                   kinds, out[..., first:first + rows])
+                    strategy_rates(link_sinrs(next(placed), config, at), kinds,
+                                   out[..., first:first + rows].swapaxes(1, 2))
             except FloatingPointError as exc:
                 raise ValueError(f"SINRs out of floating-point range ({exc}); "
                                  "check the powers in dBm") from None

@@ -113,11 +113,15 @@ def link_sinrs(block: TrialBlock, config: ScenarioConfig,
                distance_m) -> np.ndarray:
     """Linear SINR of every directed payload link of the block placed at
     distance_m, shape (B, 8), or (G, B, 8) at a 1-D array of G distances,
-    with columns SD, DS, SR1, R1D, DR1, R1S, SR2, R2D. Every operation is
-    element-wise or sums over interferers, so a row's SINRs do not depend
-    on the other distances of the call. The relays are placed once: the
-    payload offsets come straight from them, and interference_mw builds
-    node rows for the co-channel trials alone."""
+    with columns SD, DS, SR1, R1D, DR1, R1S, SR2, R2D, link-major in memory
+    (the final gather makes it so), which spares strategy_rates a copy.
+    Every operation is element-wise or sums over interferers, so a row's
+    SINRs do not depend on the other distances of the call. The relays are
+    placed once: the payload offsets come straight from them, and
+    interference_mw builds node rows for the co-channel trials alone."""
+    at = np.asarray(distance_m, dtype=float)
+    if at.ndim > 1 or not ((at > 0) & (at < np.inf)).all():  # NaN fails both
+        raise ValueError("distance_m must be positive and finite, at most 1-D")
     relay_xy = place(block.relay_u, distance_m)
     signal = received_mw(config, config.tx_power_dbm,
                          block.carrier_mhz[:, None],

@@ -189,16 +189,16 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
     non-empty iterable of StrategyKinds.
 
     sinr holds the 8 directed payload SINRs on its last axis, in link_sinrs
-    column order; the result has one entry per kind on its last axis. Given
-    `out`, of shape sinr.shape[:-2] + (len(kinds), rows) for a sinr of
-    shape (..., rows, 8), the rates are written into out[..., i, :] for the
-    i-th kind instead, and out is returned.
+    column order; the result, of shape sinr.shape[:-1] + (len(kinds),), has
+    the i-th kind's rates in [..., i]. Given `out`, a float64 array of that
+    shape with any strides, such as a transposed view of a larger table,
+    the rates are written into it, and out is returned.
 
     Each formula body that serves one of the kinds runs once, on sinr made
-    link-major (as link_sinrs returns it), and writes all its kinds before
-    the next body runs; a repeated kind gives equal columns. The columns
-    those bodies read are checked once, as the public rate_* functions
-    check their arguments.
+    link-major (a view of link_sinrs' result, a copy of other input), and
+    writes all its kinds before the next body runs; a repeated kind gives
+    equal columns. The columns those bodies read are checked once, as the
+    public rate_* functions check their arguments.
     """
     kinds = tuple(kinds)
     if not kinds or not all(isinstance(kind, StrategyKind) for kind in kinds):
@@ -206,16 +206,12 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
     if sinr.shape[-1:] != (len(LINKS),):
         raise ValueError("sinr's last axis must hold the 8 link columns SD, "
                          "DS, SR1, R1D, DR1, R1S, SR2, R2D")
-    shape = sinr.shape[:-1]
+    shape = sinr.shape[:-1] + (len(kinds),)
     if out is None:
-        rates = np.empty(shape + (len(kinds),))
-        slots = np.moveaxis(rates, -1, 0)
-    elif sinr.ndim < 2 or \
-            out.shape != shape[:-1] + (len(kinds),) + shape[-1:]:
-        raise ValueError("out must have shape sinr.shape[:-2] + "
-                         "(len(kinds), rows)")
-    else:
-        rates, slots = out, np.moveaxis(out, -2, 0)
+        out = np.empty(shape)
+    elif (out.dtype, out.shape) != (np.float64, shape):
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    slots = np.moveaxis(out, -1, 0)
     bodies, read = [], np.zeros(len(LINKS), bool)
     for body, columns, serves in _BODIES:
         # each slot a view, also when it is 0-d
@@ -236,4 +232,4 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
                 np.add(weight * directions[0], weight * directions[1],
                        out=slot)
         del directions  # freed before the next body runs
-    return rates
+    return out

@@ -420,7 +420,7 @@ class TestRunSweep:
             return len(distances), rows
 
         def strategy_rates(shape, kinds, out):
-            assert out.shape == (shape[0], len(kinds), shape[1])
+            assert out.shape == (shape[0], shape[1], len(kinds))
 
         for stub in (draw_block, link_sinrs, strategy_rates):
             monkeypatch.setattr(montecarlo, stub.__name__, stub)

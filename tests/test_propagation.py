@@ -268,6 +268,16 @@ class TestDistanceAxis:
         assert _interference_mw(block, cfg).shape == (7, 4)
         assert link_sinrs(block, cfg, 70.0).shape == (7, 8)
 
+    @pytest.mark.parametrize("distance", [
+        np.nan, -10.0, 0.0, np.inf, [10.0, np.nan], [0.0, 10.0],
+        [[10.0, 20.0]], np.full((2, 1), 70.0)])
+    def test_rejects_what_the_runs_reject(self, distance):
+        # the run functions' checks, for callers of link_sinrs itself
+        cfg = ScenarioConfig(seed=33)
+        with pytest.raises(ValueError, match="^distance_m must be positive "
+                                             "and finite, at most 1-D$"):
+            link_sinrs(draw_block(cfg, 0, 7), cfg, distance)
+
     @pytest.mark.parametrize("distance", [70.0, DISTANCES])
     def test_nodes_placed_once_per_call(self, monkeypatch, distance):
         # the interference sum reads the relay positions link_sinrs placed

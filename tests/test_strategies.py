@@ -419,13 +419,13 @@ class TestSharedRates:
         assert got.tobytes() == want.tobytes()
         if not shape:
             return
-        # out as _item_tables passes it: kinds before rows, a slice of the
-        # rows of a larger table, whose other rows stay untouched
+        # out as _item_tables passes it: a transposed view of some rows of
+        # a larger (..., kinds, rows) table, whose other rows stay untouched
         rows = shape[-1]
         table = np.full(shape[:-1] + (len(kinds), rows + 7), np.nan)
-        out = table[..., 3:3 + rows]
+        out = table[..., 3:3 + rows].swapaxes(-1, -2)
         assert strategy_rates(sinr, kinds, out) is out
-        assert out.tobytes() == np.swapaxes(want, -1, -2).tobytes()
+        assert out.tobytes() == want.tobytes()
         assert np.isnan(table[..., :3]).all() and \
             np.isnan(table[..., 3 + rows:]).all()
 
@@ -441,13 +441,31 @@ class TestSharedRates:
             gc.enable()
 
     @pytest.mark.parametrize("sinr_shape, out_shape", [
-        ((8,), (2,)), ((5, 8), (5, 2)), ((5, 8), (3, 5)),
-        ((4, 5, 8), (2, 5)), ((4, 5, 8), (4, 5, 2))])
+        ((8,), ()), ((8,), (1,)), ((8,), (3,)), ((5, 8), (2, 5)),
+        ((5, 8), (5, 3)), ((5, 8), (5,)), ((4, 5, 8), (4, 2, 5)),
+        ((4, 5, 8), (5, 2)), ((4, 5, 8), (5, 4, 2))])
     def test_rejects_a_misshapen_out(self, sinr_shape, out_shape):
-        with pytest.raises(ValueError, match=r"^out must have shape "):
-            strategy_rates(np.ones(sinr_shape),
-                           (StrategyKind.DIRECT, StrategyKind.TWOWAY_DF),
-                           np.empty(out_shape))
+        kinds = (StrategyKind.DIRECT, StrategyKind.TWOWAY_DF)
+        with pytest.raises(ValueError, match=r"^out must be a float64 array "
+                                             r"of shape \(.*\)$"):
+            strategy_rates(np.ones(sinr_shape), kinds, np.empty(out_shape))
+        # the result's own shape is taken, also for a single trial
+        out = np.empty(sinr_shape[:-1] + (len(kinds),))
+        assert strategy_rates(np.ones(sinr_shape), kinds, out) is out
+        assert out.tobytes() == \
+            strategy_rates(np.ones(sinr_shape), kinds).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex128])
+    @pytest.mark.parametrize("kind", ALL_STRATEGIES)
+    def test_rejects_an_out_not_float64(self, kind, dtype):
+        # an int64 out would truncate log2(3) = 1.585 to 1, a float32 one
+        # round the rates; one trial and one kind give an out of the
+        # right shape in any layout
+        out = np.zeros((1, 1), dtype)
+        with pytest.raises(ValueError, match=r"^out must be a float64 array "
+                                             r"of shape \(1, 1\)$"):
+            strategy_rates(np.full((1, 8), 2.0), (kind,), out)
+        assert not out.any()
 
     @pytest.mark.parametrize("shape", [(7,), (5, 7), (9,), (5, 9), (),
                                        (2, 5, 0)])
@@ -458,14 +476,16 @@ class TestSharedRates:
 
     @pytest.mark.parametrize("trials, points", [(1024, 1), (50, 20)])
     def test_temporaries_per_row(self, trials, points):
-        # about ROWS trial-points as _item_tables passes them: link-major
-        # SINRs and an out table. Each body's rates are freed before the
-        # next body runs, so a call's peak stays near the size of the
-        # table it fills.
+        # about ROWS trial-points as _item_tables passes them: link_sinrs'
+        # SINRs and a transposed view of a (points, kinds, trials) table.
+        # Each body's rates are freed before the next body runs, so a
+        # call's peak stays near the size of the table it fills. This is
+        # also the test that fails if link_sinrs' result stops being
+        # link-major in memory: strategy_rates would then copy the SINRs.
         cfg = ScenarioConfig(seed=36, interferer_min=0, interferer_max=6)
         sinr = link_sinrs(draw_block(cfg, 0, trials), cfg,
                           np.linspace(10.0, 100.0, points))
-        out = np.empty((points, len(ALL_STRATEGIES), trials))
+        out = np.empty((points, len(ALL_STRATEGIES), trials)).swapaxes(1, 2)
         strategy_rates(sinr, ALL_STRATEGIES, out)
         tracemalloc.start()
         try:
@@ -481,7 +501,7 @@ class TestSharedRates:
         kinds = len(ALL_STRATEGIES)
         assert strategy_rates(sinr, ALL_STRATEGIES).shape == \
             shape[:-1] + (kinds,)
-        out = np.empty(shape[:-2] + (kinds, 0))
+        out = np.empty(shape[:-2] + (kinds, 0)).swapaxes(-1, -2)
         assert strategy_rates(sinr, ALL_STRATEGIES, out) is out
         with pytest.raises(ValueError,
                            match="^SNR must be non-negative, got nan$"):
