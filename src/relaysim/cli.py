@@ -147,8 +147,10 @@ def _parser(f):
     return _parse_bool if parse is bool else parse
 
 
-# Config-file key -> parser, derived from the settings table.
+# From the settings table: key -> parser; key -> (flag, mode) of mode flags.
 _PARSERS = {f.name: _parser(f) for f in fields(Settings)}
+_MODE_FLAGS = {f.name: (f.metadata["flag"], f.metadata["mode"])
+               for f in fields(Settings) if f.metadata.get("mode")}
 
 
 def _parse(key: str, text: str, where: str = ""):
@@ -229,11 +231,9 @@ def resolve_settings(argv: list[str] | None) -> tuple[Settings, bool]:
         if text is not None:
             merged[key] = _parse(key, text)
     settings = Settings(**merged)
-    for f in fields(Settings):
-        mode = f.metadata.get("mode")
-        if mode not in (None, settings.mode) and getattr(args, f.name):
-            raise ValueError(
-                f"{f.metadata['flag']} applies to {mode} mode only")
+    for key, (flag, mode) in _MODE_FLAGS.items():
+        if mode != settings.mode and getattr(args, key):
+            raise ValueError(f"{flag} applies to {mode} mode only")
     return settings, args.dump_config
 
 

@@ -154,7 +154,7 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
         raise ValueError("distances must be strictly increasing")
     group = ROWS // min(trials, ROWS)
     groups = [distances[i:i + group] for i in range(0, len(distances), group)]
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1) if workers > 1 else 1
     chunks = -(-trials // ROWS)
     step = -(-chunks // (ITEMS_PER_WORKER * workers)) * ROWS
     starts = range(0, trials, step)

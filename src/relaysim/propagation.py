@@ -17,10 +17,10 @@ MIN_DISTANCE_M = 1.0
 SD, DS, SR1, R1D, DR1, R1S, SR2, R2D = range(8)
 LINKS = ((S, D), (D, S), (S, R1), (R1, D), (D, R1), (R1, S), (S, R2), (R2, D))
 
-# Per link: the payload pair whose fading it uses, and its receiver.
-_LINK_PAIR = [PAYLOAD_PAIRS.index(link if link in PAYLOAD_PAIRS
-                                  else link[::-1]) for link in LINKS]
-_LINK_RX = [rx for _, rx in LINKS]
+# Index arrays per link: the payload pair whose fading it uses, its receiver.
+_LINK_PAIR = np.array([PAYLOAD_PAIRS.index(link if link in PAYLOAD_PAIRS
+                                           else link[::-1]) for link in LINKS])
+_LINK_RX = np.array([rx for _, rx in LINKS])
 
 
 def dbm_to_mw(dbm):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -184,6 +184,22 @@ _BODIES = (
 )
 
 
+@lru_cache(maxsize=64)
+def _plan(kinds):
+    """strategy_rates' plan for `kinds`: each body that serves them, its
+    columns and its (kind index, weight) writes, and the index of the
+    columns read, `...` when all are, so that the check copies nothing."""
+    bodies, read = [], np.zeros(len(LINKS), bool)
+    for body, columns, serves in _BODIES:
+        writes = tuple((i, weight) for i, kind in enumerate(kinds)
+                       for served, weight in serves if kind is served)
+        if writes:
+            bodies.append((body, columns, writes))
+            read[np.r_[columns]] = True
+    read.flags.writeable = False  # one mask serves every call
+    return tuple(bodies), ... if read.all() else read
+
+
 def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
     """Spectral efficiency in bits/s/Hz of each strategy in `kinds`, a
     non-empty iterable of StrategyKinds.
@@ -198,7 +214,8 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
     link-major (a view of link_sinrs' result, a copy of other input), and
     writes all its kinds before the next body runs; a repeated kind gives
     equal columns. The columns those bodies read are checked once, as the
-    public rate_* functions check their arguments.
+    public rate_* functions check their arguments. The plan of bodies and
+    writes is built once per kinds tuple, the slots from each call's out.
     """
     kinds = tuple(kinds)
     if not kinds or not all(isinstance(kind, StrategyKind) for kind in kinds):
@@ -211,21 +228,14 @@ def strategy_rates(sinr, kinds, out=None) -> np.ndarray:
         out = np.empty(shape)
     elif (out.dtype, out.shape) != (np.float64, shape):
         raise ValueError(f"out must be a float64 array of shape {shape}")
-    slots = np.moveaxis(out, -1, 0)
-    bodies, read = [], np.zeros(len(LINKS), bool)
-    for body, columns, serves in _BODIES:
-        # each slot a view, also when it is 0-d
-        writes = [(slots[i, ...], weight) for i, kind in enumerate(kinds)
-                  for served, weight in serves if kind is served]
-        if writes:
-            bodies.append((body, columns, writes))
-            for column in columns:
-                read[column] = True
-    links = np.ascontiguousarray(np.moveaxis(sinr, -1, 0))
+    bodies, read = _plan(kinds)
+    slots = out.transpose(-1, *range(out.ndim - 1))
+    links = np.ascontiguousarray(sinr.transpose(-1, *range(sinr.ndim - 1)))
     _check_nonneg(links[read])
     for body, columns, writes in bodies:
         directions = body(*(links[column] for column in columns))
-        for slot, weight in writes:
+        for i, weight in writes:
+            slot = slots[i, ...]  # a view, also when it is 0-d
             if weight is None:
                 slot[...] = directions[0]
             else:

@@ -234,6 +234,19 @@ class TestRunPoint:
         np.testing.assert_array_equal(pooled[kinds[0]],
                                       run_point(cfg, trials, kinds)[kinds[0]])
 
+    def test_serial_runs_do_not_ask_for_the_cpu_count(self, monkeypatch):
+        # the CPU count caps a pool, and a serial run starts none
+        def cpu_count():
+            raise AssertionError("a serial run asked for the CPU count")
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", cpu_count)
+        cfg = ScenarioConfig(seed=24)
+        trials = montecarlo.ROWS + 7  # more than one call per distance
+        sweep = run_sweep(cfg, (20.0, 60.0), trials, workers=1)
+        cdfs = run_cdf(cfg, trials, workers=1)
+        assert len(sweep) == 2 * len(ALL_STRATEGIES)
+        assert all(row.shape == (trials,) for row in cdfs.values())
+
 
 @pytest.mark.parametrize("workers", [0, -3])
 @pytest.mark.parametrize("run", [

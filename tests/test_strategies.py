@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import relaysim
+from relaysim import montecarlo, strategies
 from relaysim.propagation import (
     DR1, DS, R1D, R1S, R2D, SD, SR1, SR2, link_sinrs)
 from relaysim.scenario import ScenarioConfig, draw_block
@@ -530,3 +531,73 @@ class TestSharedRates:
         with pytest.raises(ValueError, match="^SNR must be non-negative, "
                                              "got -1$"):
             formula(*[np.array([2, -1])] * arity)
+
+
+class _Scanned(tuple):
+    """_BODIES that counts the scans made of it."""
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestPlan:
+    """strategy_rates builds its plan of bodies and writes once per kinds
+    tuple, and takes the slots it writes from each call's out."""
+
+    KINDS = TestSharedRates.KINDS
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        strategies._plan.cache_clear()
+        yield
+        strategies._plan.cache_clear()
+
+    def test_a_sweep_builds_one_plan(self, monkeypatch):
+        bodies = _Scanned(strategies._BODIES)
+        bodies.scans = 0
+        monkeypatch.setattr(strategies, "_BODIES", bodies)
+        calls = []
+
+        def rating(sinr, kinds, out):
+            calls.append(kinds)
+            return strategy_rates(sinr, kinds, out)
+
+        monkeypatch.setattr(montecarlo, "strategy_rates", rating)
+        # 4 distances per call at ROWS // 4 trials: 3 groups, 3 calls
+        montecarlo.run_sweep(ScenarioConfig(seed=52), tuple(range(10, 21)),
+                             montecarlo.ROWS // 4)
+        assert len(calls) == 3
+        assert bodies.scans == 1
+
+    def test_each_kinds_tuple_has_its_own_plan(self):
+        # the reordered, subset and repeated kinds each get a plan that
+        # writes every one of their columns, with the per-kind bytes, on
+        # the call that builds the plan and on a call that reuses it
+        sinr = TestSharedRates._sinr((64,))
+        for kinds in self.KINDS.values():
+            built = strategy_rates(sinr, kinds)
+            reused = strategy_rates(sinr, kinds)
+            writes = [i for _, _, plan_writes in strategies._plan(kinds)[0]
+                      for i, _ in plan_writes]
+            assert sorted(writes) == list(range(len(kinds)))
+            assert built.tobytes() == reused.tobytes() == \
+                _per_kind(sinr, kinds).tobytes()
+        info = strategies._plan.cache_info()
+        assert (info.misses, info.currsize) == (len(self.KINDS),) * 2
+
+    def test_calls_sharing_a_plan_write_only_their_own_out(self):
+        kinds = self.KINDS["repeated"]
+        # two outs of one shape and layout, for different SINRs
+        first = TestSharedRates._sinr((64,))
+        second = 2.0 * first + 1.0
+        table = np.full((len(kinds), 64), np.nan)
+        out = table.T
+        strategy_rates(first, kinds, out)
+        written = table.tobytes()
+        other = np.full((len(kinds), 64), np.nan).T
+        assert strategy_rates(second, kinds, other) is other
+        assert strategies._plan.cache_info().misses == 1
+        assert table.tobytes() == written
+        assert out.tobytes() == _per_kind(first, kinds).tobytes()
+        assert other.tobytes() == _per_kind(second, kinds).tobytes()
