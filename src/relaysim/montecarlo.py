@@ -5,9 +5,9 @@ Trials come in the fixed blocks of the RNG contract
 so any range of whole blocks can be evaluated anywhere and give the same
 bytes. The draws do not depend on the distance (scenario.draw_block), so
 propagation.link_sinrs places a block at several distances in one numpy
-pass of at most ROWS trial-points, which is also the unit of work. The
-run fixes its groups of distances: as many as one call of its trials
-fits in ROWS rows. A run (one point, a sweep or a CDF) opens at most one
+pass of about ROWS trial-points, at most 1.5 x ROWS: the run splits its
+distances into the nearest whole number of such calls, balanced to
+within one point. A run (one point, a sweep or a CDF) opens at most one
 process pool; its work items are ranges of whole ROWS over every group,
 so any worker count makes the serial run's draws and calls. A serial
 run, and one of at most ROWS trials, is one item evaluated in this
@@ -34,16 +34,16 @@ from .strategies import ALL_STRATEGIES, StrategyKind, strategy_rates
 # Work items per pool process: several, so that processes finishing early
 # take over the rest, yet few, since each item costs a round trip.
 ITEMS_PER_WORKER = 4
-# Trial-points per numpy call, and the unit of pooled work items. It must
-# be a whole number of contract blocks, or draw_block redraws the block
-# at each call boundary. More rows per call cost less per row, but every
-# call's arrays grow with them, under bench/run.py's +5% peak_rss_mib
-# bound. Against 2 blocks, 4 blocks moved the memory probes
-# (bench/memory_probe.py, 7 seeds) of sweep_w1, cdf_w1 and fine_sweep_w2
-# by -1.3%, +1.5% and +3.1% (+3.6% over 10 bench/run.py pairs), near a 3%
-# margin: fine_sweep_w2's operation, 46 points of 200 trials at 5 per
-# call, peaks in strategy_rates. 5 blocks, the smallest larger ROWS, read
-# +3.4% there, and 8 blocks +5.0%.
+# About the trial-points per numpy call (at most 1.5x), and the unit of
+# pooled work items. It must be a whole number of contract blocks, or
+# draw_block redraws the block at each call boundary. More rows per call
+# cost less per row, but every call's arrays grow with them, under
+# bench/run.py's +5% peak_rss_mib bound. Against 2 blocks, 4 blocks moved
+# the memory probes (bench/memory_probe.py, 7 seeds) of sweep_w1, cdf_w1
+# and fine_sweep_w2 by -1.3%, +1.5% and +3.1%: fine_sweep_w2's operation,
+# 46 points of 200 trials, peaks in strategy_rates. With balanced groups,
+# 8 and 9 blocks, trials per call kept at 4 blocks, read +2.6% to +5.3%
+# there in two measurements: less than the metric drifts on unchanged code.
 ROWS = 4 * BLOCK_TRIALS
 
 
@@ -122,7 +122,8 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
     """One (distances, table) pair per group of distances_m, in order: the
     group as a list of floats, which replace config.distance_m, and its own
     C-contiguous (points, len(kinds), trials) array of trials 0..trials-1.
-    The run fixes the groups, ROWS // min(trials, ROWS) distances each.
+    The run fixes the groups: round(points / (ROWS // min(trials, ROWS)))
+    or one, balanced to within one point, each at most 1.5 x ROWS rows.
 
     A work item is a range of whole ROWS over every group, up to
     ITEMS_PER_WORKER items per process. One pool serves them all, capped at
@@ -152,9 +153,13 @@ def _tables(config: ScenarioConfig, distances_m: Sequence[float],
         raise ValueError("distance_m must be positive and finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("distances must be strictly increasing")
-    group = ROWS // min(trials, ROWS)
-    groups = [distances[i:i + group] for i in range(0, len(distances), group)]
-    workers = min(workers, os.cpu_count() or 1) if workers > 1 else 1
+    n = len(distances)
+    calls = max(1, round(n / (ROWS // min(trials, ROWS))))
+    groups = [distances[n * i // calls:n * (i + 1) // calls]
+              for i in range(calls)]
+    # a run of at most ROWS trials is one item whatever the cap
+    workers = min(workers, os.cpu_count() or 1) \
+        if workers > 1 and trials > ROWS else 1
     chunks = -(-trials // ROWS)
     step = -(-chunks // (ITEMS_PER_WORKER * workers)) * ROWS
     starts = range(0, trials, step)

@@ -637,8 +637,9 @@ _GOLDEN = {
     # at the sixth decimal, which %.6f rounds half to even
     "cdf_ties": (["--mode", "cdf", "--trials", "1024", "--seed", "1"],
                  "c984ca663e1a3b42c8384a6791eb18bb5ab8c95e87a2e266cf77afa5289f2374"),
-    # 46 points of 50 trials, placed ROWS // 50 distances per call, among
-    # 4-12 interferers: some trials sum two co-channel terms
+    # 46 points of 50 trials, placed in two calls of 23 distances (five of
+    # 9 or 10 at ROWS = 2 blocks), among 4-12 interferers: some trials sum
+    # two co-channel terms
     "sweep_cochannel": (["--mode", "sweep", "--trials", "50", "--lstep", "2",
                          "--seed", "3"],
                         "1439f3cde119680d4c1dff687f79f75e2e3107c22c84b6f832d8efd61a50c42a"),

@@ -8,8 +8,10 @@ import weakref
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from relaysim import montecarlo
 from relaysim.cli import format_cdf_csv
@@ -61,6 +63,16 @@ def _stats(samples):
 def _point_tables(groups):
     """The (strategies, trials) table of each point of _tables' groups."""
     return [table for _, group in groups for table in group]
+
+
+def _group_sizes(points, trials):
+    """Points per distance group of a run at the current montecarlo.ROWS:
+    the nearest whole number of calls of ROWS rows, at least one, with
+    group i ending at point points * (i + 1) // calls."""
+    rows = montecarlo.ROWS
+    calls = max(1, round(points / (rows // min(trials, rows))))
+    return [points * (i + 1) // calls - points * i // calls
+            for i in range(calls)]
 
 
 class TestEmpiricalCdf:
@@ -233,6 +245,24 @@ class TestRunPoint:
         assert pool_sizes == [3]
         np.testing.assert_array_equal(pooled[kinds[0]],
                                       run_point(cfg, trials, kinds)[kinds[0]])
+
+    def test_one_item_runs_do_not_ask_for_the_cpu_count(self, pool_sizes,
+                                                        monkeypatch):
+        # a run of at most ROWS trials is one work item at any worker
+        # count, so no cap on the pool can matter: fine_sweep_w2's 46
+        # points of 50 trials at two workers, and a cdf of ROWS trials
+        def cpu_count():
+            raise AssertionError("a one-item run asked for the CPU count")
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", cpu_count)
+        cfg = ScenarioConfig(seed=25)
+        distances = tuple(float(L) for L in range(10, 101, 2))
+        assert len(distances) == 46
+        sweep = run_sweep(cfg, distances, 50, workers=2)
+        cdfs = run_cdf(cfg, montecarlo.ROWS, workers=2)
+        assert pool_sizes == []
+        assert len(sweep) == 46 * len(ALL_STRATEGIES)
+        assert all(row.shape == (montecarlo.ROWS,) for row in cdfs.values())
 
     def test_serial_runs_do_not_ask_for_the_cpu_count(self, monkeypatch):
         # the CPU count caps a pool, and a serial run starts none
@@ -482,18 +512,64 @@ class TestRunSweep:
         monkeypatch.setattr(montecarlo, "link_sinrs", counting)
         return calls
 
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.example(points=5, trials=montecarlo.ROWS // 2)
+    @hypothesis.example(points=46, trials=50)
+    @hypothesis.example(points=46, trials=200)
+    @hypothesis.example(points=1, trials=1)
+    @hypothesis.example(points=3, trials=montecarlo.ROWS + 76)
+    @given(points=st.integers(1, 3000), trials=st.integers(1, 3000))
+    def test_groups_are_balanced_calls_of_about_rows(self, points, trials):
+        # the run splits its distances into the nearest whole number of
+        # calls of ROWS rows, in order and balanced to within one point, so
+        # no call places more than 1.5 x ROWS trial-points (5 points of
+        # ROWS / 2 trials split 2 + 3). The engine's numpy calls are
+        # stubbed out: only their arguments are counted.
+        rows, calls = montecarlo.ROWS, []
+
+        def link_sinrs(trial_rows, config, distances):
+            calls.append(len(distances) * trial_rows)
+            return len(distances), trial_rows
+
+        stubs = {"draw_block": lambda config, start, stop: stop - start,
+                 "link_sinrs": link_sinrs,
+                 "strategy_rates": lambda shape, kinds, out: None}
+        with pytest.MonkeyPatch.context() as patch:
+            for name, stub in stubs.items():
+                patch.setattr(montecarlo, name, stub)
+            distances = [float(L) for L in range(1, points + 1)]
+            groups = [group for group, _ in montecarlo._tables(
+                ScenarioConfig(), distances, trials, (StrategyKind.DIRECT,),
+                1)]
+        assert [d for group in groups for d in group] == distances
+        per_call = min(trials, rows)
+        assert len(groups) == max(1, round(points / (rows // per_call)))
+        sizes = [len(group) for group in groups]
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) * per_call <= 1.5 * rows
+        assert max(calls) <= 1.5 * rows
+        assert len(calls) == len(groups) * -(-trials // rows)
+
+    def test_fine_sweep_makes_two_calls(self, monkeypatch):
+        # fine_sweep_w2's 46 points of 50 trials: 2300 rows, the nearest
+        # whole number of calls of ROWS = 1024 rows is 2, of 23 points each
+        assert montecarlo.ROWS == 1024
+        calls = self._count_placements(monkeypatch)
+        distances = tuple(float(L) for L in range(10, 101, 2))
+        run_sweep(ScenarioConfig(seed=26), distances, 50, workers=2)
+        assert calls == [23, 23]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_packed_distances_match_run_point(self, workers, monkeypatch):
-        # an item of fewer than ROWS trials is placed at as many distances
-        # per call as fit into ROWS rows: 23 points of 100 trials make calls
-        # of ROWS // 100 points and a remainder (10, 10 and 3 at ROWS =
-        # 1024); sweep_w1's 10 points of 50 trials make one call
+        # an item of fewer than ROWS trials is placed at several distances
+        # per call, in the nearest whole number of calls of ROWS rows:
+        # 23 points of 100 trials make round(23 / (ROWS // 100)) calls of
+        # 11 and 12 points at ROWS = 1024; sweep_w1's 10 points of 50
+        # trials make one call
         cfg = ScenarioConfig(seed=45, interferer_min=0, interferer_max=5)
         calls = self._count_placements(monkeypatch)
         for points, trials in ((23, 100), (10, 50)):
-            group = montecarlo.ROWS // trials
-            placements = [min(group, points - i)
-                          for i in range(0, points, group)]
+            placements = _group_sizes(points, trials)
             distances = tuple(float(L) for L in range(12, 12 + 4 * points, 4))
             calls.clear()
             swept = run_sweep(cfg, distances, trials, workers=workers)
@@ -513,10 +589,11 @@ class TestRunSweep:
         b, rows = montecarlo.BLOCK_TRIALS, montecarlo.ROWS
         group = rows // b
         assert rows == group * b and group > 1
-        # a one-block item packs ROWS // b distances per call: 23 points
-        # make five calls of 4 and one of 3 at ROWS = 1024
+        # a one-block item packs about ROWS // b distances per call: 23
+        # points make round(23 / 4) = 6 calls, one of 3 and five of 4, at
+        # ROWS = 1024
         run_sweep(cfg, distances, b, (StrategyKind.DIRECT,))
-        assert calls == [min(group, 23 - i) for i in range(0, 23, group)]
+        assert calls == _group_sizes(23, b)
         # a serial item of more than ROWS trials goes one distance per
         # call, in calls of ROWS rows and its 7-row tail
         drawn = self._count_draws(monkeypatch)
@@ -543,8 +620,9 @@ class TestRunSweep:
         # worker and at two (4 points of 600 trials: two whole blocks and
         # an 88-trial tail). Work items are whole ROWS too, so the widest
         # draw is the same at both, and 600 trials of 4 or more blocks per
-        # call are one item, which starts no pool. 5 and 8 blocks pack two
-        # and three distances per call, above the default ROWS.
+        # call are one item, which starts no pool. 5 blocks packs two
+        # distances per call, above the default ROWS, and 8 blocks all four
+        # (2400 rows, at most 1.5 x ROWS).
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         cfg = ScenarioConfig(seed=47, interferer_min=0, interferer_max=6)
         distances = (15.0, 40.0, 65.0, 90.0)
@@ -561,8 +639,8 @@ class TestRunSweep:
             assert widest == min(rows * b, 600)
             # a call of more than 600 rows packs several distances, so the
             # groups differ from the default's, but no point's table does
-            assert max(len(points) for points, _ in tables) == \
-                max(1, rows * b // 600)
+            assert [len(points) for points, _ in tables] == \
+                _group_sizes(len(distances), 600)
             assert [d for points, _ in tables for d in points] == \
                 [d for labels, _ in expected for d in labels]
             for got, want in zip(_point_tables(tables),

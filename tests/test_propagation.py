@@ -297,8 +297,8 @@ class TestDistanceAxis:
 
     @pytest.mark.parametrize("trials, points", [(1024, 1), (50, 20)])
     def test_temporaries_per_row(self, trials, points):
-        # about ROWS trial-points, as one distance or as fine_sweep_w2's 50
-        # trials at 20: the offsets come straight from the placed relays
+        # about ROWS trial-points, as one distance or as 50 trials at 20
+        # distances: the offsets come straight from the placed relays
         # and the SINRs are divided in place, so the memory a call takes at
         # its peak stays a small multiple of the SINRs it returns, with no
         # table of every node's position and no gathered copies of it

@@ -477,8 +477,9 @@ class TestSharedRates:
 
     @pytest.mark.parametrize("trials, points", [(1024, 1), (50, 20)])
     def test_temporaries_per_row(self, trials, points):
-        # about ROWS trial-points as _item_tables passes them: link_sinrs'
-        # SINRs and a transposed view of a (points, kinds, trials) table.
+        # about ROWS trial-points, as one distance or as 50 trials at 20
+        # distances, as _item_tables passes them: link_sinrs' SINRs and a
+        # transposed view of a (points, kinds, trials) table.
         # Each body's rates are freed before the next body runs, so a
         # call's peak stays near the size of the table it fills. This is
         # also the test that fails if link_sinrs' result stops being

@@ -7,7 +7,10 @@ trials per point, each at --lstep 10 and 2, and cdfs at 10 000, 600 and
 1025 trials, in 4 scenario configs, at seeds 1, 2 and 2012 and at workers
 1 and 2. relaysim is imported from sys.path, so PYTHONPATH picks the tree
 under test. Run it on two trees and diff the manifests: equal manifests
-mean byte-identical CSVs.
+mean byte-identical CSVs. Beside each CSV, an entry "<label>#tables"
+holds the sha256 and size of the float64 arrays the CSV was formatted
+from (a sweep's distances and statistics, a cdf's sorted rows), which
+%.6f would hide a last-bit change in.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ import hashlib
 import json
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from io import StringIO
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
+from relaysim import cli
 from relaysim.cli import main
 
 # Config-file text of each scenario: the defaults; up to 12 interferers;
@@ -56,12 +62,47 @@ def cases():
                text, argv)
 
 
+def _digest(*arrays: np.ndarray) -> list:
+    """[sha256, size in bytes] of the float64 arrays' shapes and values."""
+    sha = hashlib.sha256()
+    for array in arrays:
+        if array.dtype != np.float64:
+            raise TypeError(f"expected float64 values, got {array.dtype}")
+        sha.update(repr(array.shape).encode())
+        sha.update(array.tobytes())
+    return [sha.hexdigest(), sum(array.nbytes for array in arrays)]
+
+
+@contextmanager
+def _table_digests(digests: list):
+    """While open, cli's CSV formatters each first append _digest of the
+    arrays they format to digests: a sweep's distances and statistics, a
+    cdf's rows in strategy order."""
+    sweep, cdf = cli.format_sweep_csv, cli.format_cdf_csv
+
+    def format_sweep_csv(results):
+        distances, _, stats = results
+        digests.append(_digest(np.array(distances, dtype=float), stats))
+        return sweep(results)
+
+    def format_cdf_csv(cdfs, fh):
+        digests.append(_digest(*cdfs.values()))
+        return cdf(cdfs, fh)
+
+    cli.format_sweep_csv, cli.format_cdf_csv = format_sweep_csv, format_cdf_csv
+    try:
+        yield
+    finally:
+        cli.format_sweep_csv, cli.format_cdf_csv = sweep, cdf
+
+
 def manifest(runs) -> dict[str, list]:
-    """{label: [sha256, size in bytes] of the CSV} of the runs, each run by
+    """{label: [sha256, size in bytes] of the CSV, label + "#tables": the
+    same of the arrays it was formatted from} of the runs, each run by
     cli.main in a temporary directory; RuntimeError names a run that
     fails."""
-    digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    digests, tables = {}, []
+    with tempfile.TemporaryDirectory() as tmp, _table_digests(tables):
         csv, config = Path(tmp, "run.csv"), Path(tmp, "run.conf")
         for label, text, argv in runs:
             config.write_text(text)
@@ -73,6 +114,8 @@ def manifest(runs) -> dict[str, list]:
                                    f"exited {status}")
             data = csv.read_bytes()
             digests[label] = [hashlib.sha256(data).hexdigest(), len(data)]
+            (digests[f"{label}#tables"],) = tables
+            tables.clear()
     return digests
 
 
@@ -82,8 +125,10 @@ def run(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     digests = manifest(cases())
     Path(args.manifest).write_text(json.dumps(digests, indent=1) + "\n")
-    size = sum(bytes_ for _, bytes_ in digests.values())
-    print(f"{len(digests)} CSVs, {size} bytes -> {args.manifest}")
+    csvs = [size for label, (_, size) in digests.items()
+            if not label.endswith("#tables")]
+    print(f"{len(csvs)} CSVs, {sum(csvs)} bytes, each with its tables' "
+          f"digest -> {args.manifest}")
     return 0
 
 
